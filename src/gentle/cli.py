@@ -164,17 +164,8 @@ def cmd_hom(args) -> int:
         "hom_dim": pair.hom_dim(0),
     }
     if args.profile:
-        lo, hi = pair.window
-        if args.parallel:
-            # graded pieces are independent; memoized results are identical
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor() as pool:
-                dims = list(pool.map(pair.hom_dim, range(lo, hi + 1)))
-            payload["profile"] = {str(t): d for t, d in zip(range(lo, hi + 1), dims)}
-        else:
-            prof = pair.profile()
-            payload["profile"] = {str(i): d for i, d in prof.dims}
-        payload["window"] = [lo, hi]
+        payload["profile"] = {str(i): d for i, d in pair.profile().dims}
+        payload["window"] = list(pair.window)
     if args.json:
         payload["from_complex"] = complex_json(X)
         payload["to_complex"] = complex_json(Y)
@@ -253,10 +244,9 @@ def cmd_band(args) -> int:
 
 def cmd_search(args) -> int:
     a = _load(args.file)
-    cycles = exc.brute_force_search(a, args.max_letters, args.shift_window,
-                                    parallel=args.parallel)
-    payload = {"bounds": {"max_letters": args.max_letters or exc.default_search_bounds(a)[0],
-                          "shift_window": args.shift_window or exc.default_search_bounds(a)[1]},
+    max_letters, shift_window = exc.search_bounds(a, args.max_letters, args.shift_window)
+    cycles = exc.brute_force_search(a, max_letters, shift_window)
+    payload = {"bounds": {"max_letters": max_letters, "shift_window": shift_window},
                "cycles": [_cycle_payload(c) for c in cycles]}
 
     def render(p):
@@ -312,8 +302,6 @@ def cmd_selftest(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--parallel", action="store_true",
-                        help="evaluate independent Hom pairs concurrently (same output)")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized self-tests")
     ap = argparse.ArgumentParser(
         prog="gentle",

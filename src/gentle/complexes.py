@@ -446,6 +446,18 @@ def unfold_band(a: GentleAlgebra, w: HomotopyBand, m: int = 0, mu=1) -> RepCompl
     return _unfold(a, w, m, mu)
 
 
+def shift_presentation(proj_terms: dict[int, tuple[str, ...]],
+                       proj_diffs: dict[int, tuple[tuple[AlgElem, ...], ...]] | None,
+                       t: int):
+    """The projective presentation of the suspension [t], as in ``shift``."""
+    proj_terms = {d - t: v for d, v in proj_terms.items()}
+    if t % 2 == 0:
+        return proj_terms, {d - t: rows for d, rows in (proj_diffs or {}).items()}
+    return proj_terms, {d - t: tuple(tuple(tuple((p, -x) for p, x in e) for e in row)
+                                     for row in rows)
+                        for d, rows in (proj_diffs or {}).items()}
+
+
 def shift(c: RepComplex, t: int) -> RepComplex:
     """Suspension [t]: degree d of the result is degree d + t of the input,
     with differentials negated t times."""
@@ -457,10 +469,7 @@ def shift(c: RepComplex, t: int) -> RepComplex:
              for d, f in c.diffs.items()}
     proj_terms = proj_diffs = None
     if c.proj_terms is not None:
-        proj_terms = {d - t: v for d, v in c.proj_terms.items()}
-        proj_diffs = {d - t: tuple(tuple(tuple((p, sign * x) for p, x in e) for e in row)
-                                   for row in rows)
-                      for d, rows in (c.proj_diffs or {}).items()}
+        proj_terms, proj_diffs = shift_presentation(c.proj_terms, c.proj_diffs, t)
     shape = None
     if c.shape is not None:
         shape = WordShape(c.shape.word, c.shape.base + t,

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import (RepComplex, minimize, nakayama_on_projectives,
-                        perfect_replacement, shift, unfold_band, unfold_string)
+                        perfect_replacement, shift, shift_presentation,
+                        unfold_band, unfold_string)
 from .hom import GradedHomProfile, HomPair, graded_profile, iso_indecomposable
 from .presentation import GentleAlgebra, InternalCheckError
 from .threads import Thread, ThreadTables, aag_cycles, enumerate_threads
@@ -91,9 +92,29 @@ class ExceptionalCycle:
         return f"<{self.n}-cycle {inside}>"
 
 
+def _normal_form(X: RepComplex) -> tuple[int, tuple]:
+    """The top degree of X and the exact projective presentation of X
+    shifted so that its top degree is 0, which every suspension of X shares."""
+    if X.proj_terms is None:
+        raise ValueError("complex does not carry a projective presentation")
+    top = max((d for d, vs in X.proj_terms.items() if vs), default=0)
+    terms, diffs = shift_presentation(X.proj_terms, X.proj_diffs, top)
+    return top, (tuple(sorted((d, vs) for d, vs in terms.items() if vs)),
+                 tuple(sorted(diffs.items())))
+
+
 def serre_image(a: GentleAlgebra, X: RepComplex) -> RepComplex:
-    """Minimized projective form of the Serre twist of a perfect complex."""
-    return minimize(perfect_replacement(nakayama_on_projectives(X)))
+    """Minimized projective form of the Serre twist of a perfect complex.
+
+    The Serre functor commutes with suspension, so the twist is computed
+    by the exact engine once per algebra and complex up to shift: on the
+    suspension of X with top degree 0, then shifted back.
+    """
+    top, key = _normal_form(X)
+    images = a._cache.setdefault("serre_images", {})
+    if key not in images:
+        images[key] = minimize(perfect_replacement(nakayama_on_projectives(shift(X, top))))
+    return shift(images[key], -top)
 
 
 def _entry_complex(a: GentleAlgebra, word: Word, sigma: int) -> RepComplex:
@@ -120,15 +141,21 @@ def identify_shift(a: GentleAlgebra, Y: RepComplex, Z: RepComplex) -> int | None
 
     Minimal complexes are isomorphic only with identical summand content,
     so the candidate s is pinned by the supports and confirmed by the
-    linear-algebra engine.
+    linear-algebra engine.  Y ≅ Z[s] exactly when the top-degree-0
+    suspensions of Y and Z are isomorphic, so that verdict is computed once
+    per algebra and pair of complexes up to shift.
     """
     if Y.is_zero() or Z.is_zero():
         return None
     if _summand_signature(Y) != _summand_signature(Z):
         return None
-    s = max(d for d, vs in Z.proj_terms.items() if vs) - \
-        max(d for d, vs in Y.proj_terms.items() if vs)
-    return s if iso_indecomposable(Y, shift(Z, s)) else None
+    top_y, key_y = _normal_form(Y)
+    top_z, key_z = _normal_form(Z)
+    verdicts = a._cache.setdefault("iso_verdicts", {})
+    pair = (key_y, key_z)
+    if pair not in verdicts:
+        verdicts[pair] = iso_indecomposable(shift(Y, top_y), shift(Z, top_z))
+    return top_z - top_y if verdicts[pair] else None
 
 
 # --- mouth analysis -----------------------------------------------------------
@@ -440,7 +467,7 @@ def _iter_strings(a: GentleAlgebra, max_letters: int):
         if k not in seen:
             seen.add(k)
             yield w
-    stack = [(l,) for l in letters]
+    stack = [(l,) for l in letters] if max_letters > 0 else []
     while stack:
         word = stack.pop()
         ws = HomotopyString(word)
@@ -512,22 +539,33 @@ def _member_profile_of(a: GentleAlgebra, X: RepComplex) -> dict[int, int] | None
     return {0: end, **extras}
 
 
+def search_bounds(a: GentleAlgebra, max_letters: int | None = None,
+                  shift_window: int | None = None) -> tuple[int, int]:
+    """The (max letters, suspension window) a search runs with: the given
+    values, with ``default_search_bounds`` filling those that are None."""
+    for name, value in (("max_letters", max_letters), ("shift_window", shift_window)):
+        if value is not None and value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
+    if max_letters is None or shift_window is None:
+        default_letters, default_window = default_search_bounds(a)
+        if max_letters is None:
+            max_letters = default_letters
+        if shift_window is None:
+            shift_window = default_window
+    return max_letters, shift_window
+
+
 def brute_force_search(a: GentleAlgebra, max_letters: int | None = None,
-                       shift_window: int | None = None,
-                       parallel: bool = False) -> list[ExceptionalCycle]:
+                       shift_window: int | None = None) -> list[ExceptionalCycle]:
     """Certified cycles found by scanning all strings within the bounds.
 
     Candidates are the strings whose graded endomorphisms fit a cycle
     member; Serre twists link candidates into chains, and every closed
-    chain within the suspension window is certified from scratch.  With
-    ``parallel`` the independent member screens run on a thread pool; the
-    result is merged in index order and identical either way.
+    chain within the suspension window gets its own certificate.  Serre
+    images and isomorphism verdicts are computed once per algebra by the
+    exact engine and shared by the linking step and the certificates.
     """
-    bounds = default_search_bounds(a)
-    if max_letters is None:
-        max_letters = bounds[0]
-    if shift_window is None:
-        shift_window = bounds[1]
+    max_letters, shift_window = search_bounds(a, max_letters, shift_window)
 
     words = enumerate_strings(a, max_letters)
     complexes = []
@@ -538,16 +576,9 @@ def brute_force_search(a: GentleAlgebra, max_letters: int | None = None,
         index.setdefault(_summand_signature(X), []).append(i)
 
     members: set[int] = set()
-    if parallel:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor() as pool:
-            verdicts = list(pool.map(lambda X: _member_profile_of(a, X) is not None,
-                                     complexes))
-        members = {i for i, ok in enumerate(verdicts) if ok}
-    else:
-        for i, X in enumerate(complexes):
-            if _member_profile_of(a, X) is not None:
-                members.add(i)
+    for i, X in enumerate(complexes):
+        if _member_profile_of(a, X) is not None:
+            members.add(i)
 
     successor: dict[int, tuple[int, int]] = {}
     for i in sorted(members):

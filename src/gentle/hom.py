@@ -98,11 +98,6 @@ def _hom_space(a: GentleAlgebra, src: Representation, tgt: Representation) -> _H
     return space
 
 
-def module_hom_basis(a: GentleAlgebra, src: Representation,
-                     tgt: Representation) -> list[Morphism]:
-    return _hom_space(a, src, tgt).basis
-
-
 def _morphism_vector(a: GentleAlgebra, src: Representation, tgt: Representation,
                      f: Morphism) -> tuple[Fraction, ...]:
     out: list[Fraction] = []

@@ -137,16 +137,32 @@ def test_reruns_byte_identical(args):
     assert first == second
 
 
-def test_parallel_flag_same_output():
-    base = run_cli("search", fx("a3_hereditary"), "--json")
-    par = run_cli("search", fx("a3_hereditary"), "--json", "--parallel")
-    assert base[0] == par[0] == 0
-    assert base[1] == par[1]
-    base = run_cli("hom", fx("pent"), "--from", "d, a^-1", "--to", "d, a^-1",
-                   "--profile", "--json")
-    par = run_cli("hom", fx("pent"), "--from", "d, a^-1", "--to", "d, a^-1",
-                  "--profile", "--json", "--parallel")
-    assert base[1] == par[1]
+def test_search_reports_the_bounds_it_used():
+    code, out, _ = run_cli("search", fx("a3_hereditary"), "--json")
+    assert code == 0
+    default = json.loads(out)
+    assert len(default["cycles"]) == 2
+    code, out, _ = run_cli("search", fx("a3_hereditary"), "--json", "--shift-window", "0")
+    assert code == 0
+    data = json.loads(out)
+    assert data["bounds"] == {"max_letters": default["bounds"]["max_letters"],
+                              "shift_window": 0}
+    assert data["cycles"] == []
+    code, out, _ = run_cli("search", fx("a3_hereditary"), "--json", "--max-letters", "0")
+    assert code == 0
+    data = json.loads(out)
+    assert data["bounds"] == {"max_letters": 0,
+                              "shift_window": default["bounds"]["shift_window"]}
+    # zero letters leaves the trivial strings, whose stalks form no cycle here
+    assert data["cycles"] == []
+
+
+@pytest.mark.parametrize("flag", ["--max-letters", "--shift-window"])
+def test_search_negative_bound_is_domain_error(flag):
+    code, out, err = run_cli("search", fx("a3_hereditary"), flag, "-1")
+    assert code == 1
+    assert out == ""
+    assert "must be non-negative" in err
 
 
 def test_selftest_runs():

@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from conftest import fixture_text
 from gentle import (ExceptionalCycle, ag_invariants, brute_force_search,
                     check_band_spherical, classify_exceptional_cycles,
-                    cycle_equiv, load_algebra, mouth_objects, parse_word,
-                    serre_of_mouth, thread_string, trivial_string, verify_cycle,
-                    word_key)
-from gentle.exceptional import default_search_bounds
+                    cycle_equiv, exceptional, load_algebra, mouth_objects,
+                    parse_word, serre_of_mouth, thread_string, trivial_string,
+                    unfold_string, verify_cycle, word_key)
+from gentle.complexes import (minimize, nakayama_on_projectives,
+                              perfect_replacement, shift)
+from gentle.exceptional import (_summand_signature, default_search_bounds,
+                                enumerate_strings, identify_shift, serre_image)
+from gentle.hom import iso_indecomposable
+from gentle.randomgen import random_gentle
 
 
 def _mouth_by_label(a, label):
@@ -249,3 +257,71 @@ def test_default_bounds_cover_threads(algebras, random_corpus_small):
         longest = max((t.length for t in enumerate_threads(a).forbidden), default=0)
         assert max_letters > longest
         assert window >= 2
+
+
+# --- the Serre-image and isomorphism memo against the uncached engine -----------
+
+def _memo_algebras():
+    """Fresh algebras, so the memo starts empty: pent, the Kronecker quiver
+    (whose arrows give complexes with equal terms and different
+    differentials) and two random algebras."""
+    return [load_algebra(fixture_text("pent")), load_algebra(fixture_text("kronecker")),
+            random_gentle(3002, max_vertices=5), random_gentle(3005, max_vertices=5)]
+
+
+def _sample_complexes(a, count, seed):
+    """Seeded string complexes plus every complex that shares its summand
+    content with another one, and the complexes by summand content."""
+    words = enumerate_strings(a, 3)
+    by_signature = {}
+    for w in words:
+        X = unfold_string(a, w, 0)
+        by_signature.setdefault(_summand_signature(X), []).append(X)
+    picked = random.Random(seed).sample(range(len(words)), min(count, len(words)))
+    sample = [unfold_string(a, words[i], 0) for i in picked]
+    sample += [X for group in by_signature.values() if len(group) > 1 for X in group]
+    return sample, by_signature
+
+
+def _top(c):
+    return max(d for d, vs in c.proj_terms.items() if vs)
+
+
+def _counting(monkeypatch, name, fn):
+    """Count the calls the memo makes to ``exceptional.<name>``."""
+    calls = []
+    monkeypatch.setattr(exceptional, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+def test_serre_memo_matches_uncached_engine(monkeypatch):
+    for seed, a in enumerate(_memo_algebras()):
+        for X in _sample_complexes(a, 3, seed)[0]:
+            serre_image(a, X)
+            calls = _counting(monkeypatch, "perfect_replacement", perfect_replacement)
+            for t in range(-3, 4):
+                Xt = shift(X, t)
+                ref = minimize(perfect_replacement(nakayama_on_projectives(Xt)))
+                assert iso_indecomposable(serre_image(a, Xt), ref), (a, X, t)
+            monkeypatch.undo()
+            assert calls == [], "a suspension of a known complex re-ran the replacement"
+
+
+def test_identify_shift_memo_matches_uncached_engine(monkeypatch):
+    verdicts = []
+    for seed, a in enumerate(_memo_algebras()):
+        sample, by_signature = _sample_complexes(a, 3, seed + 10)
+        for X in sample:
+            Y = serre_image(a, X)
+            for Z in by_signature.get(_summand_signature(Y), [])[:2] + [X]:
+                identify_shift(a, Y, Z)
+                calls = _counting(monkeypatch, "iso_indecomposable", iso_indecomposable)
+                for t in range(-3, 4):
+                    Yt, Zt = shift(Y, t), shift(Z, (t * 5) % 3)
+                    s = _top(Zt) - _top(Yt)
+                    ref = s if iso_indecomposable(Yt, shift(Zt, s)) else None
+                    assert identify_shift(a, Yt, Zt) == ref, (a, X, Z, t)
+                    verdicts.append(ref)
+                monkeypatch.undo()
+                assert calls == [], "suspensions of a known pair re-ran the isomorphism test"
+    assert None in verdicts and any(v is not None for v in verdicts)
