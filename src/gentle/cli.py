@@ -262,6 +262,8 @@ def cmd_search(args) -> int:
 def cmd_selftest(args) -> int:
     from .randomgen import random_gentle
     from .presentation import enumerate_sign_assignments, with_signs
+    if args.count < 1:
+        raise DomainError(f"--count must be at least 1, got {args.count}")
     failures = 0
 
     def check(label: str, fn) -> None:

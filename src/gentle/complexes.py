@@ -179,7 +179,8 @@ def right_multiplication(a: GentleAlgebra, elem: AlgElem, src_vertex: str,
                          tgt_vertex: str) -> Morphism:
     """The map P(src_vertex) -> P(tgt_vertex), x -> x·elem.
 
-    Every path in elem must run from tgt_vertex to src_vertex.
+    Every path in elem must run from tgt_vertex to src_vertex.  The map is
+    checked to be a module morphism when it is first built.
     """
     key = ("rmul", elem, src_vertex, tgt_vertex)
     cached = a._cache.get(key)
@@ -205,6 +206,8 @@ def right_multiplication(a: GentleAlgebra, elem: AlgElem, src_vertex: str,
                 if image is not None and image in pos:
                     m[pos[image]][j] += c
         out[u] = tuple(tuple(row) for row in m)
+    if not check_morphism(a, projective(a, src_vertex), projective(a, tgt_vertex), out):
+        raise InternalCheckError(f"multiplication by {elem} is not a module morphism")
     a._cache[key] = dict(out)
     return out
 
@@ -263,7 +266,12 @@ class WordShape:
 
 
 class RepComplex:
-    """A bounded cochain complex of representations."""
+    """A bounded cochain complex of representations.
+
+    With ``check`` the differentials are validated densely (module
+    morphisms, d∘d = 0); complexes built from a projective presentation are
+    validated on the presentation instead, by ``_assemble_projective_complex``.
+    """
 
     def __init__(self, a: GentleAlgebra, terms: dict[int, Representation],
                  diffs: dict[int, Morphism],
@@ -367,7 +375,13 @@ def _assemble_projective_complex(a: GentleAlgebra,
                                  proj_terms: dict[int, tuple[str, ...]],
                                  proj_diffs: dict[int, tuple[tuple[AlgElem, ...], ...]],
                                  shape: WordShape | None = None) -> RepComplex:
-    """Materialize the representation layer of a projective presentation."""
+    """Materialize the representation layer of a projective presentation.
+
+    d∘d = 0 is checked on the presentation: the composite of two
+    differentials is right multiplication by the products of their entries,
+    and right multiplication is faithful (x·e = 0 for all x forces e = 0),
+    so the composite vanishes exactly when every product entry does.
+    """
     proj_terms = {d: vs for d, vs in proj_terms.items() if vs}
     terms = {d: _sum_of_projectives(a, vs) for d, vs in proj_terms.items()}
     diffs: dict[int, Morphism] = {}
@@ -380,8 +394,23 @@ def _assemble_projective_complex(a: GentleAlgebra,
         diffs[d] = _block_morphism(a, [projective(a, v) for v in src_vs],
                                    [projective(a, v) for v in tgt_vs], blocks)
     proj_diffs = {d: e for d, e in proj_diffs.items() if d in diffs}
+    _check_d_squared(a, proj_diffs)
     return RepComplex(a, terms, diffs, proj_terms=proj_terms, proj_diffs=proj_diffs,
-                      shape=shape)
+                      shape=shape, check=False)
+
+
+def _check_d_squared(a: GentleAlgebra,
+                     proj_diffs: dict[int, tuple[tuple[AlgElem, ...], ...]]) -> None:
+    """Raise unless consecutive differentials of a presentation compose to 0."""
+    for d, first in proj_diffs.items():
+        for row in proj_diffs.get(d + 1, ()):
+            for j in range(len(first[0]) if first else 0):
+                acc: AlgElem = ()
+                for k, outer in enumerate(row):
+                    if outer and first[k][j]:
+                        acc = _elem_combine(acc, _elem_mul(a, first[k][j], outer), 1)
+                if acc:
+                    raise InternalCheckError(f"d∘d != 0 between degrees {d} and {d + 2}")
 
 
 def _word_positions(a: GentleAlgebra, w: Word) -> tuple[list[str], list[int]]:

@@ -416,10 +416,13 @@ SEARCH_WORD_BUDGET = 2500
 def default_search_bounds(a: GentleAlgebra) -> tuple[int, int]:
     """(max letters, suspension window) for the bounded search.
 
-    Letters reach up to two beyond the longest forbidden thread, shrinking
-    the margin when the word count would pass the documented budget; every
-    mouth complex always fits.  The window follows the arrow count plus the
-    longest thread.  Both are heuristics and can be overridden.
+    Letters reach two beyond the longest forbidden thread (at least three),
+    or one beyond it when that would give more than ``SEARCH_WORD_BUDGET``
+    strings.  The budget picks the margin and does not cap the scan: when
+    even a margin of one passes it, the bound falls back to the longest
+    forbidden thread (at least one letter) whatever the string count.
+    Every mouth complex always fits.  The window follows the arrow count
+    plus the longest thread.  Both are heuristics and can be overridden.
     """
     tables = enumerate_threads(a)
     longest_f = max((t.length for t in tables.forbidden), default=0)
@@ -561,9 +564,10 @@ def brute_force_search(a: GentleAlgebra, max_letters: int | None = None,
 
     Candidates are the strings whose graded endomorphisms fit a cycle
     member; Serre twists link candidates into chains, and every closed
-    chain within the suspension window gets its own certificate.  Serre
-    images and isomorphism verdicts are computed once per algebra by the
-    exact engine and shared by the linking step and the certificates.
+    chain within the suspension window gets its own certificate unless it
+    is a rotation of a cycle already certified.  Serre images and
+    isomorphism verdicts are computed once per algebra by the exact engine
+    and shared by the linking step and the certificates.
     """
     max_letters, shift_window = search_bounds(a, max_letters, shift_window)
 
@@ -608,10 +612,12 @@ def brute_force_search(a: GentleAlgebra, max_letters: int | None = None,
             i, sigma = j, sigma + s - 1
         if not closed:
             continue
+        # each cycle keeps the first of its rotations that passed
+        candidate = ExceptionalCycle(tuple(entries), None)
+        if any(cycle_equiv(candidate, c) for c in found):
+            continue
         cert = verify_cycle(a, entries)
         if cert.ok():
-            cycle = ExceptionalCycle(tuple(entries), cert)
-            if not any(cycle_equiv(cycle, c) for c in found):
-                found.append(cycle)
+            found.append(ExceptionalCycle(tuple(entries), cert))
     found.sort(key=lambda c: c.sort_key())
     return found

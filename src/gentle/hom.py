@@ -1,12 +1,16 @@
 """Exact Hom computations in the homotopy category of bounded complexes.
 
-Everything runs at the representation layer: module morphisms are
-nullspaces of commutation constraints over the rationals, and the graded
-Hom data of a pair of complexes is packaged as a two-sided bounded Hom
-complex whose cohomology gives dim Hom(X, Y[t]) simultaneously for every t
-in the support window.  Degreewise chain maps, null-homotopy tests,
-composition and the local-ring isomorphism test for indecomposables are
-built on the same data.
+Complexes enter through their projective presentations.  For a gentle
+algebra, Hom(P(u), P(v)) has the nonzero paths v ⇝ u as a basis, a path
+acting by right multiplication, and composing such a map with a
+differential entry is multiplication of path combinations.  The graded Hom
+data of a pair of complexes is therefore assembled from path lookups as a
+two-sided bounded Hom complex, whose cohomology gives dim Hom(X, Y[t])
+simultaneously for every t in the support window; linear algebra only
+computes its ranks, chain-map bases and null-homotopy solves.  The
+local-ring isomorphism test for indecomposables composes chain maps as
+path combinations too; module morphisms are materialized only for callers
+that ask for chain maps or pass them in.
 """
 
 from __future__ import annotations
@@ -16,102 +20,17 @@ from fractions import Fraction
 
 from . import linalg
 from .linalg import Matrix, ZERO, ONE
-from .complexes import (Morphism, RepComplex, Representation, add_morphisms,
-                        compose_morphisms, cohomology_dims, morphism_is_zero,
-                        projective, right_multiplication, scale_morphism,
-                        zero_morphism)
-from .presentation import GentleAlgebra, InternalCheckError
+from .complexes import (AlgElem, Morphism, RepComplex, _block_morphism,
+                        _elem_combine, _elem_mul, compose_morphisms,
+                        cohomology_dims, morphism_is_zero, projective,
+                        right_multiplication, scale_morphism, zero_morphism)
+from .presentation import GentleAlgebra, InternalCheckError, Path
 
 # A chain map X -> Y[n] is a dict degree -> Morphism X^d -> Y^{d+n}.
 ChainMap = dict[int, Morphism]
-
-
-def _rep_key(r: Representation):
-    return (r.dims, r.action)
-
-
-@dataclass
-class _HomSpace:
-    """Hom_A(src, tgt) with an echelon basis for constant-time coordinates.
-
-    The nullspace basis has the identity pattern on its free columns, so the
-    coordinates of any member are its values there; membership is confirmed
-    by reconstructing the vector.
-    """
-
-    basis: list[Morphism]
-    vectors: list[tuple[Fraction, ...]]
-    free_cols: list[int]
-    vec_len: int
-
-    def coords(self, vec: tuple[Fraction, ...]) -> tuple[Fraction, ...] | None:
-        out = tuple(vec[c] for c in self.free_cols)
-        rebuilt = [ZERO] * self.vec_len
-        for x, b in zip(out, self.vectors):
-            if x:
-                for i, y in enumerate(b):
-                    if y:
-                        rebuilt[i] += x * y
-        return out if tuple(rebuilt) == vec else None
-
-
-def _hom_space(a: GentleAlgebra, src: Representation, tgt: Representation) -> _HomSpace:
-    """Hom_A(src, tgt) as the nullspace of the commutation constraints."""
-    key = ("module_hom", _rep_key(src), _rep_key(tgt))
-    if key in a._cache:
-        return a._cache[key]
-    # unknowns: entries of the per-vertex matrices, vertex blocks in order
-    offsets = {}
-    n_unknowns = 0
-    for v in a.vertices:
-        offsets[v] = n_unknowns
-        n_unknowns += tgt.dim(v) * src.dim(v)
-
-    def var(v: str, i: int, j: int) -> int:
-        return offsets[v] + i * src.dim(v) + j
-
-    rows = []
-    for arr in a.arrows:
-        u, w = arr.source, arr.target
-        ms, mt = src.act(arr.name), tgt.act(arr.name)
-        # f_w · ms = mt · f_u, one equation per (i < dim tgt(w), j < dim src(u))
-        for i in range(tgt.dim(w)):
-            for j in range(src.dim(u)):
-                row = [ZERO] * n_unknowns
-                for k in range(src.dim(w)):
-                    if ms[k][j] != 0:
-                        row[var(w, i, k)] += ms[k][j]
-                for k in range(tgt.dim(u)):
-                    if mt[i][k] != 0:
-                        row[var(u, k, j)] -= mt[i][k]
-                rows.append(tuple(row))
-    basis_vecs, free_cols = linalg.nullspace(tuple(rows), n_cols=n_unknowns)
-    basis = []
-    for vec in basis_vecs:
-        f: Morphism = {}
-        for v in a.vertices:
-            f[v] = tuple(tuple(vec[var(v, i, j)] for j in range(src.dim(v)))
-                         for i in range(tgt.dim(v)))
-        basis.append(f)
-    space = _HomSpace(basis, [tuple(v) for v in basis_vecs], list(free_cols), n_unknowns)
-    a._cache[key] = space
-    return space
-
-
-def _morphism_vector(a: GentleAlgebra, src: Representation, tgt: Representation,
-                     f: Morphism) -> tuple[Fraction, ...]:
-    out: list[Fraction] = []
-    for v in a.vertices:
-        m = f.get(v, ())
-        n_rows, n_cols = tgt.dim(v), src.dim(v)
-        for i in range(n_rows):
-            row = m[i] if i < len(m) else ()
-            if len(row) == n_cols:
-                out.extend(row)
-            else:
-                out.extend(row)
-                out.extend([ZERO] * (n_cols - len(row)))
-    return tuple(out)
+# The same map on the presentations: (degree, source summand, target summand)
+# -> the path combination of that component.
+PathMap = dict[tuple[int, int, int], AlgElem]
 
 
 @dataclass(frozen=True)
@@ -134,55 +53,58 @@ class GradedHomProfile:
         return "HomProfile(" + ", ".join(f"[{i}]:{d}" for i, d in self.dims if d) + ")"
 
 
-def _pair_space(a: GentleAlgebra, u: str, v: str) -> _HomSpace:
+def _pair_space(a: GentleAlgebra, u: str, v: str) -> dict[Path, int]:
+    """The path basis of Hom(P(u), P(v)), each path with its position: the
+    paths q in P(v) ending at u, where q is the image of the generator e_u."""
     key = ("pair_space", u, v)
     if key not in a._cache:
-        a._cache[key] = _hom_space(a, projective(a, u), projective(a, v))
+        paths = (q for q in a.paths_from[v] if q.target == u)
+        a._cache[key] = {q: i for i, q in enumerate(paths)}
     return a._cache[key]
 
 
-def _compose_table_left(a: GentleAlgebra, elem, u: str, v: str, vp: str):
-    """Coordinates of (multiplication map P(v)->P(vp)) ∘ b for every basis
-    element b of Hom(P(u), P(v)), expressed in Hom(P(u), P(vp))."""
+def _coords_in(a: GentleAlgebra, elem: AlgElem, u: str, v: str) -> tuple[Fraction, ...]:
+    """Coordinates of a path combination in the path basis of Hom(P(u), P(v))."""
+    space = _pair_space(a, u, v)
+    out = [ZERO] * len(space)
+    for p, x in elem:
+        i = space.get(p)
+        if i is None:
+            raise InternalCheckError(f"composite {p!r} is not a map P({u}) -> P({v})")
+        out[i] += x
+    return tuple(out)
+
+
+def _compose_table_left(a: GentleAlgebra, elem: AlgElem, u: str, v: str, vp: str):
+    """Coordinates of (multiplication map P(v)->P(vp)) ∘ p for every basis
+    path p of Hom(P(u), P(v)), expressed in Hom(P(u), P(vp))."""
     key = ("Tleft", elem, u, v, vp)
-    if key in a._cache:
-        return a._cache[key]
-    src_space = _pair_space(a, u, v)
-    tgt_space = _pair_space(a, u, vp)
-    r = right_multiplication(a, elem, v, vp)
-    cols = []
-    for b in src_space.basis:
-        comp = compose_morphisms(a, b, r)
-        vec = _morphism_vector(a, projective(a, u), projective(a, vp), comp)
-        coords = tgt_space.coords(vec) if tgt_space.basis else \
-            (() if all(x == 0 for x in vec) else None)
-        if coords is None:
-            raise InternalCheckError("composite left the morphism space")
-        cols.append(coords)
-    a._cache[key] = tuple(cols)
+    if key not in a._cache:
+        a._cache[key] = tuple(_coords_in(a, _elem_mul(a, ((p, ONE),), elem), u, vp)
+                              for p in _pair_space(a, u, v))
     return a._cache[key]
 
 
-def _compose_table_right(a: GentleAlgebra, elem, up: str, u: str, v: str):
-    """Coordinates of b ∘ (multiplication map P(up)->P(u)) for every basis
-    element b of Hom(P(u), P(v)), expressed in Hom(P(up), P(v))."""
+def _compose_table_right(a: GentleAlgebra, elem: AlgElem, up: str, u: str, v: str):
+    """Coordinates of p ∘ (multiplication map P(up)->P(u)) for every basis
+    path p of Hom(P(u), P(v)), expressed in Hom(P(up), P(v))."""
     key = ("Tright", elem, up, u, v)
-    if key in a._cache:
-        return a._cache[key]
-    src_space = _pair_space(a, u, v)
-    tgt_space = _pair_space(a, up, v)
-    r = right_multiplication(a, elem, up, u)
-    cols = []
-    for b in src_space.basis:
-        comp = compose_morphisms(a, r, b)
-        vec = _morphism_vector(a, projective(a, up), projective(a, v), comp)
-        coords = tgt_space.coords(vec) if tgt_space.basis else \
-            (() if all(x == 0 for x in vec) else None)
-        if coords is None:
-            raise InternalCheckError("composite left the morphism space")
-        cols.append(coords)
-    a._cache[key] = tuple(cols)
+    if key not in a._cache:
+        a._cache[key] = tuple(_coords_in(a, _elem_mul(a, elem, ((p, ONE),)), up, v)
+                              for p in _pair_space(a, u, v))
     return a._cache[key]
+
+
+def _compose_paths(a: GentleAlgebra, f: PathMap, g: PathMap) -> PathMap:
+    """g∘f for degree-0 maps f: X -> Y and g: Y -> Z given on presentations."""
+    by_source: dict[tuple[int, int], list[tuple[int, AlgElem]]] = {}
+    for (d, l, m), e in g.items():
+        by_source.setdefault((d, l), []).append((m, e))
+    out: PathMap = {}
+    for (d, k, l), e in f.items():
+        for m, e2 in by_source.get((d, l), ()):
+            out[(d, k, m)] = _elem_combine(out.get((d, k, m), ()), _elem_mul(a, e, e2), 1)
+    return {key: e for key, e in out.items() if e}
 
 
 def _vertex_offsets(a: GentleAlgebra, summands: tuple[str, ...]):
@@ -198,21 +120,22 @@ def _vertex_offsets(a: GentleAlgebra, summands: tuple[str, ...]):
 
 
 class HomPair:
-    """Graded Hom data of an ordered pair of bounded complexes.
+    """Graded Hom data of an ordered pair of bounded complexes of projectives.
 
-    Level n collects the module morphisms X^d -> Y^{d+n}; the boundary
-    sends f to dY∘f - (-1)^n f∘dX.  Kernel mod image at level n is
-    Hom(X, Y[n]) in the homotopy category.
-
-    When both complexes carry projective presentations the levels split
-    into blocks between single projectives, whose morphism spaces and
-    composites with the differential entries are memoized on the algebra;
-    otherwise everything is computed directly on the representations.
+    Level n collects the maps X^d -> Y^{d+n}; the boundary sends f to
+    dY∘f - (-1)^n f∘dX.  Kernel mod image at level n is Hom(X, Y[n]) in the
+    homotopy category.  Both complexes must carry projective presentations:
+    a level splits into blocks between single projectives, each with the
+    path basis of ``_pair_space``, and the boundary is read off the memoized
+    products of those paths with the differential entries.
     """
 
     def __init__(self, X: RepComplex, Y: RepComplex):
         if X.a is not Y.a:
             raise ValueError("complexes over different algebras")
+        if X.proj_terms is None or X.proj_diffs is None \
+                or Y.proj_terms is None or Y.proj_diffs is None:
+            raise ValueError("Hom needs complexes that carry projective presentations")
         self.a = X.a
         self.X = X
         self.Y = Y
@@ -221,33 +144,24 @@ class HomPair:
             self.window = (0, -1)     # empty
         else:
             self.window = (sy[0] - sx[1], sy[1] - sx[0])
-        self._fast = (X.proj_terms is not None and X.proj_diffs is not None
-                      and Y.proj_terms is not None and Y.proj_diffs is not None)
         self._levels: dict[int, list[tuple[int, int]]] = {}
-        self._spaces: dict[tuple[int, int], _HomSpace] = {}
-        # fast path: (d, n) -> ordered [(k, l, offset, space)] and a lookup
-        self._blocks: dict[tuple[int, int], list[tuple[int, int, int, _HomSpace]]] = {}
-        self._block_index: dict[tuple[int, int], dict[tuple[int, int], tuple[int, _HomSpace]]] = {}
-        self._xoff: dict[int, list[dict[str, int]]] = {}
-        self._yoff: dict[int, list[dict[str, int]]] = {}
+        # (d, n) -> ordered [(k, l, offset, path basis)] and a lookup by (k, l)
+        self._blocks: dict[tuple[int, int], list[tuple[int, int, int, dict[Path, int]]]] = {}
+        self._block_index: dict[tuple[int, int], dict[tuple[int, int], tuple[int, dict[Path, int]]]] = {}
         self._boundary: dict[int, Matrix] = {}
 
     # -- level bookkeeping ---------------------------------------------------
     def _slot_dim(self, d: int, n: int) -> int:
-        if not self._fast:
-            space = _hom_space(self.a, self.X.terms[d], self.Y.terms[d + n])
-            self._spaces[(d, n)] = space
-            return len(space.basis)
-        blocks: list[tuple[int, int, int, _HomSpace]] = []
-        index: dict[tuple[int, int], tuple[int, _HomSpace]] = {}
+        blocks: list[tuple[int, int, int, dict[Path, int]]] = []
+        index: dict[tuple[int, int], tuple[int, dict[Path, int]]] = {}
         off = 0
         for k, u in enumerate(self.X.proj_terms[d]):
             for l, v in enumerate(self.Y.proj_terms[d + n]):
                 space = _pair_space(self.a, u, v)
-                if space.basis:
+                if space:
                     blocks.append((k, l, off, space))
                     index[(k, l)] = (off, space)
-                    off += len(space.basis)
+                    off += len(space)
         self._blocks[(d, n)] = blocks
         self._block_index[(d, n)] = index
         return off
@@ -270,112 +184,41 @@ class HomPair:
     def level_dim(self, n: int) -> int:
         return sum(k for _, k in self._level_slots(n))
 
-    def _offsets_x(self, d: int):
-        if d not in self._xoff:
-            self._xoff[d] = _vertex_offsets(self.a, self.X.proj_terms[d])
-        return self._xoff[d]
-
-    def _offsets_y(self, d: int):
-        if d not in self._yoff:
-            self._yoff[d] = _vertex_offsets(self.a, self.Y.proj_terms[d])
-        return self._yoff[d]
-
-    def _basis_at(self, d: int, n: int) -> list[Morphism]:
-        self._level_slots(n)
-        if not self._fast:
-            space = self._spaces.get((d, n))
-            return space.basis if space else []
-        out = []
-        for k, l, _, space in self._blocks.get((d, n), []):
-            for b in space.basis:
-                out.append(self._embed_block(d, n, k, l, b))
-        return out
-
-    def _embed_block(self, d: int, n: int, k: int, l: int, b: Morphism) -> Morphism:
+    def _dense_at(self, d: int, n: int, elems: dict[tuple[int, int], AlgElem]) -> Morphism:
+        """The module morphism X^d -> Y^{d+n} with the given block entries."""
         a = self.a
-        src, tgt = self.X.terms[d], self.Y.terms[d + n]
-        x0 = self._offsets_x(d)[k]
-        y0 = self._offsets_y(d + n)[l]
-        u = self.X.proj_terms[d][k]
-        v = self.Y.proj_terms[d + n][l]
-        pu, pv = projective(a, u), projective(a, v)
-        out: Morphism = {}
-        for w in a.vertices:
-            rows = [[ZERO] * src.dim(w) for _ in range(tgt.dim(w))]
-            block = b[w]
-            for i in range(pv.dim(w)):
-                for j in range(pu.dim(w)):
-                    rows[y0[w] + i][x0[w] + j] = block[i][j]
-            out[w] = tuple(tuple(r) for r in rows)
-        return out
-
-    def _block_coords(self, d: int, n: int, f: Morphism) -> tuple[Fraction, ...] | None:
-        a = self.a
-        dim = sum(len(sp.basis) for _, _, _, sp in self._blocks.get((d, n), []))
-        out = [ZERO] * dim
-        index = self._block_index.get((d, n), {})
-        x_terms = self.X.proj_terms[d]
-        y_terms = self.Y.proj_terms[d + n]
-        xoff = self._offsets_x(d)
-        yoff = self._offsets_y(d + n)
-        for k, u in enumerate(x_terms):
-            pu = projective(a, u)
-            for l, v in enumerate(y_terms):
-                pv = projective(a, v)
-                vec: list[Fraction] = []
-                for w in a.vertices:
-                    m = f.get(w, ())
-                    for i in range(pv.dim(w)):
-                        row = m[yoff[l][w] + i] if yoff[l][w] + i < len(m) else ()
-                        for j in range(pu.dim(w)):
-                            col = xoff[k][w] + j
-                            vec.append(row[col] if col < len(row) else ZERO)
-                entry = index.get((k, l))
-                if entry is None:
-                    if any(x != 0 for x in vec):
-                        return None
-                    continue
-                off, space = entry
-                coords = space.coords(tuple(vec))
-                if coords is None:
-                    return None
-                for i, x in enumerate(coords):
-                    out[off + i] = x
-        return tuple(out)
+        src_vs, tgt_vs = self.X.proj_terms[d], self.Y.proj_terms[d + n]
+        blocks = [[right_multiplication(a, elems.get((k, l), ()), u, v)
+                   for k, u in enumerate(src_vs)] for l, v in enumerate(tgt_vs)]
+        return _block_morphism(a, [projective(a, u) for u in src_vs],
+                               [projective(a, v) for v in tgt_vs], blocks)
 
     def _coords_at(self, d: int, n: int, f: Morphism) -> tuple[Fraction, ...] | None:
-        """Coordinates of a morphism X^d -> Y^{d+n} in the level basis."""
-        self._level_slots(n)
-        if self._fast:
-            if d in self.X.terms and d + n in self.Y.terms:
-                return self._block_coords(d, n, f)
-            vec = _morphism_vector(self.a, self.X.term(d), self.Y.term(d + n), f)
-            return () if all(x == 0 for x in vec) else None
-        space = self._spaces.get((d, n))
-        src, tgt = self.X.term(d), self.Y.term(d + n)
-        vec = _morphism_vector(self.a, src, tgt, f)
-        if space is None or not space.basis:
-            return () if all(x == 0 for x in vec) else None
-        return space.coords(vec)
+        """Coordinates of a morphism X^d -> Y^{d+n} in the level basis: each
+        block is read off the image of its generator e_u and the whole
+        morphism is confirmed by rebuilding it."""
+        out: list[Fraction] = []
+        elems: dict[tuple[int, int], AlgElem] = {}
+        xoff = _vertex_offsets(self.a, self.X.proj_terms[d])
+        yoff = _vertex_offsets(self.a, self.Y.proj_terms[d + n])
+        for k, l, _, space in self._blocks[(d, n)]:
+            u = self.X.proj_terms[d][k]
+            m, col, r0 = f.get(u, ()), xoff[k][u], yoff[l][u]
+            coords = [m[r][col] if r < len(m) and col < len(m[r]) else ZERO
+                      for r in range(r0, r0 + len(space))]
+            out.extend(coords)
+            elems[(k, l)] = tuple((p, x) for p, x in zip(space, coords) if x)
+        rebuilt = self._dense_at(d, n, elems)
+        if not all(linalg.mat_eq(rebuilt[w], f.get(w, linalg.zeros(len(rebuilt[w]), 0)))
+                   for w in self.a.vertices):
+            return None
+        return tuple(out)
 
     # -- boundary ------------------------------------------------------------
     def boundary_matrix(self, n: int) -> Matrix:
         """Matrix of level n -> level n+1 in the chosen bases."""
         if n in self._boundary:
             return self._boundary[n]
-        mat = self._boundary_fast(n) if self._fast else self._boundary_generic(n)
-        self._boundary[n] = mat
-        return mat
-
-    def _target_offsets(self, n: int) -> dict[int, int]:
-        offsets: dict[int, int] = {}
-        off = 0
-        for d, k in self._level_slots(n):
-            offsets[d] = off
-            off += k
-        return offsets
-
-    def _boundary_fast(self, n: int) -> Matrix:
         a = self.a
         src_slots = self._level_slots(n)
         tgt_dim = self.level_dim(n + 1)
@@ -391,7 +234,7 @@ class HomPair:
             dn_index = self._block_index.get((d - 1, n + 1), {}) if d - 1 in tgt_offsets else {}
             for k, l, _, space in self._blocks[(d, n)]:
                 u, v = x_terms[k], y_terms[l]
-                for b_idx in range(len(space.basis)):
+                for b_idx in range(len(space)):
                     col = [ZERO] * tgt_dim
                     if dY is not None and d + n + 1 in self.Y.terms:
                         for lp, row in enumerate(dY):
@@ -427,43 +270,18 @@ class HomPair:
                             for i, x in enumerate(coords):
                                 col[base + i] -= sign * x
                     columns.append(col)
-        return tuple(tuple(columns[j][i] for j in range(len(columns)))
-                     for i in range(tgt_dim))
+        mat = tuple(tuple(columns[j][i] for j in range(len(columns)))
+                    for i in range(tgt_dim))
+        self._boundary[n] = mat
+        return mat
 
-    def _boundary_generic(self, n: int) -> Matrix:
-        src_slots = self._level_slots(n)
-        tgt_dim = self.level_dim(n + 1)
-        tgt_offsets = self._target_offsets(n + 1)
-        sign = ONE if n % 2 == 0 else -ONE
-        columns: list[list[Fraction]] = []
-        for d, k in src_slots:
-            for b in self._basis_at(d, n):
-                col = [ZERO] * tgt_dim
-                if d + n in self.Y.diffs:
-                    g = compose_morphisms(self.a, b, self.Y.diffs[d + n])
-                    self._add_coords(col, tgt_offsets, d, n + 1, g)
-                if d - 1 in self.X.diffs:
-                    g = compose_morphisms(self.a, self.X.diffs[d - 1], b)
-                    g = scale_morphism(-sign, g)
-                    self._add_coords(col, tgt_offsets, d - 1, n + 1, g)
-                columns.append(col)
-        return tuple(tuple(columns[j][i] for j in range(len(columns)))
-                     for i in range(tgt_dim))
-
-    def _add_coords(self, col: list[Fraction], tgt_offsets: dict[int, int],
-                    d: int, n: int, g: Morphism) -> None:
-        if morphism_is_zero(g):
-            return
-        coords = self._coords_at(d, n, g)
-        if coords is None:
-            raise InternalCheckError("boundary image missed the morphism space")
-        base = tgt_offsets.get(d)
-        if base is None:
-            if any(x != 0 for x in coords):
-                raise InternalCheckError("boundary image at a vanished slot")
-            return
-        for i, x in enumerate(coords):
-            col[base + i] += x
+    def _target_offsets(self, n: int) -> dict[int, int]:
+        offsets: dict[int, int] = {}
+        off = 0
+        for d, k in self._level_slots(n):
+            offsets[d] = off
+            off += k
+        return offsets
 
     # -- the public quantities -------------------------------------------------
     def cycle_dim(self, n: int) -> int:
@@ -483,25 +301,44 @@ class HomPair:
         dims = tuple((n, self.hom_dim(n)) for n in range(lo, hi + 1))
         return GradedHomProfile(dims, self.window)
 
-    def chain_maps(self, n: int = 0) -> list[ChainMap]:
-        """Basis of degreewise maps X -> Y[n] commuting with differentials."""
-        mat = self.boundary_matrix(n)
-        vecs, _ = linalg.nullspace(mat, n_cols=self.level_dim(n))
-        return [self._unflatten(n, v) for v in vecs]
+    def path_chain_maps(self, n: int = 0) -> list[PathMap]:
+        """Basis of the maps X -> Y[n] commuting with differentials, each
+        given by the path combinations of its components."""
+        vecs, _ = linalg.nullspace(self.boundary_matrix(n), n_cols=self.level_dim(n))
+        return [self._path_map(n, v) for v in vecs]
 
-    def _unflatten(self, n: int, vec) -> ChainMap:
-        out: ChainMap = {}
+    def chain_maps(self, n: int = 0) -> list[ChainMap]:
+        """The basis of ``path_chain_maps`` as degreewise module morphisms."""
+        out = []
+        for f in self.path_chain_maps(n):
+            by_degree: dict[int, dict[tuple[int, int], AlgElem]] = {}
+            for (d, k, l), e in f.items():
+                by_degree.setdefault(d, {})[(k, l)] = e
+            out.append({d: self._dense_at(d, n, elems) for d, elems in by_degree.items()})
+        return out
+
+    def _path_map(self, n: int, vec) -> PathMap:
+        out: PathMap = {}
         off = 0
         for d, k in self._level_slots(n):
-            basis = self._basis_at(d, n)
-            f = zero_morphism(self.a, self.X.term(d), self.Y.term(d + n))
-            for b, x in zip(basis, vec[off: off + k]):
-                if x:
-                    f = add_morphisms(f, scale_morphism(x, b))
-            if not morphism_is_zero(f):
-                out[d] = f
+            for kk, l, o, space in self._blocks[(d, n)]:
+                coords = vec[off + o: off + o + len(space)]
+                elem = tuple((p, x) for p, x in zip(space, coords) if x)
+                if elem:
+                    out[(d, kk, l)] = elem
             off += k
         return out
+
+    def _path_coords(self, n: int, f: PathMap) -> tuple[Fraction, ...]:
+        """Coordinates of a map given on presentations in the level basis."""
+        offsets = self._target_offsets(n)
+        out = [ZERO] * self.level_dim(n)
+        for (d, k, l), elem in f.items():
+            u, v = self.X.proj_terms[d][k], self.Y.proj_terms[d + n][l]
+            coords = _coords_in(self.a, elem, u, v)
+            base = offsets[d] + self._block_index[(d, n)][(k, l)][0]
+            out[base: base + len(coords)] = coords
+        return tuple(out)
 
     def flatten(self, n: int, f: ChainMap) -> tuple[Fraction, ...] | None:
         out: list[Fraction] = []
@@ -520,15 +357,18 @@ class HomPair:
                     return None
         return tuple(out)
 
+    def _is_boundary(self, n: int, vec: tuple[Fraction, ...]) -> bool:
+        """Whether level-n coordinates lie in the image of level n-1."""
+        if all(x == 0 for x in vec):
+            return True
+        return linalg.solve(self.boundary_matrix(n - 1), vec) is not None
+
     def is_null_homotopic(self, f: ChainMap, n: int = 0) -> bool:
         """Whether f = dY∘h + h∘dX for some degree -1 family h."""
         vec = self.flatten(n, f)
         if vec is None:
             raise ValueError("not a level-n map of this pair")
-        if all(x == 0 for x in vec):
-            return True
-        mat = self.boundary_matrix(n - 1)
-        return linalg.solve(mat, vec) is not None
+        return self._is_boundary(n, vec)
 
 
 def graded_profile(X: RepComplex, Y: RepComplex) -> GradedHomProfile:
@@ -556,21 +396,6 @@ def identity_chain(X: RepComplex) -> ChainMap:
     out: ChainMap = {}
     for d, t in X.terms.items():
         out[d] = {v: linalg.identity(t.dim(v)) for v in X.a.vertices}
-    return out
-
-
-def compose_chain(a: GentleAlgebra, f: ChainMap, g: ChainMap,
-                  X: RepComplex, Y: RepComplex, Z: RepComplex,
-                  n_f: int = 0, n_g: int = 0) -> ChainMap:
-    """g∘f where f: X -> Y[n_f] and g: Y -> Z[n_g]; result X -> Z[n_f + n_g]."""
-    out: ChainMap = {}
-    for d, comp in f.items():
-        gg = g.get(d + n_f)
-        if gg is None:
-            continue
-        h = compose_morphisms(a, comp, gg)
-        if not morphism_is_zero(h):
-            out[d] = h
     return out
 
 
@@ -609,37 +434,34 @@ def iso_indecomposable(X: RepComplex, Y: RepComplex) -> bool:
     invertible; in a local ring a sum of non-units is a non-unit, so basis
     composites suffice.  Invertibility of an endomorphism is decided by
     powering past the endomorphism ring dimension and testing null-homotopy.
+    Chain maps are composed as path combinations and tested on their
+    coordinates.
     """
     if X.is_zero() or Y.is_zero():
         return X.is_zero() and Y.is_zero()
     if _quick_distinct(X, Y):
         return False
-    pair_xy = HomPair(X, Y)
-    pair_yx = HomPair(Y, X)
-    maps_xy = pair_xy.chain_maps(0)
-    maps_yx = pair_yx.chain_maps(0)
+    maps_xy = HomPair(X, Y).path_chain_maps(0)
+    maps_yx = HomPair(Y, X).path_chain_maps(0)
     if not maps_xy or not maps_yx:
         return False
     pair_yy = HomPair(Y, Y)
     end_dim = pair_yy.hom_dim(0)
-    a = X.a
     for f in maps_xy:
         for g in maps_yx:
-            c = compose_chain(a, g, f, Y, X, Y)
-            if _is_invertible_endo(pair_yy, Y, c, end_dim):
+            if _is_invertible_endo(pair_yy, _compose_paths(X.a, g, f), end_dim):
                 return True
     return False
 
 
-def _is_invertible_endo(pair_yy: HomPair, Y: RepComplex, c: ChainMap,
-                        end_dim: int) -> bool:
+def _is_invertible_endo(pair_yy: HomPair, c: PathMap, end_dim: int) -> bool:
     """In a local endomorphism ring: invertible iff not nilpotent modulo
     homotopy; nilpotency shows up by the (dim+1)-st power."""
-    if pair_yy.is_null_homotopic(c):
+    if pair_yy._is_boundary(0, pair_yy._path_coords(0, c)):
         return False
     power = c
     for _ in range(end_dim):
-        power = compose_chain(Y.a, power, c, Y, Y, Y)
-        if pair_yy.is_null_homotopic(power):
+        power = _compose_paths(pair_yy.a, power, c)
+        if pair_yy._is_boundary(0, pair_yy._path_coords(0, power)):
             return False
     return True

@@ -171,6 +171,14 @@ def test_selftest_runs():
     assert "passed" in out
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_selftest_without_checks_is_domain_error(count):
+    code, out, err = run_cli("selftest", "--count", count)
+    assert code == 1
+    assert out == ""
+    assert "--count must be at least 1" in err
+
+
 def test_dot_output():
     code, out, _ = run_cli("ag", fx("pent"), "--dot")
     assert code == 0

@@ -14,6 +14,7 @@ from gentle import (cohomology_dims, injective, iso_indecomposable, minimize,
 from gentle.complexes import (RepComplex, _assemble_projective_complex,
                               right_multiplication)
 from gentle.linalg import mat_eq
+from gentle.presentation import InternalCheckError
 
 
 def dims_of(rep):
@@ -212,3 +213,74 @@ def test_every_construction_checks_d_squared(algebras):
             if not q.is_trivial:
                 from gentle.words import HomotopyLetter, make_string
                 unfold_string(a, make_string(a, [HomotopyLetter(q, True)]), 0)
+
+
+# --- the d∘d check on presentations against the dense check --------------------
+
+def _verdicts(a, proj_terms, proj_diffs):
+    """Whether the presentation check and the dense check of the
+    materialized differentials accept the complex."""
+    from gentle.complexes import _block_morphism, _sum_of_projectives
+    try:
+        _assemble_projective_complex(a, proj_terms, proj_diffs)
+        on_paths = True
+    except InternalCheckError:
+        on_paths = False
+    terms = {d: _sum_of_projectives(a, vs) for d, vs in proj_terms.items()}
+    diffs = {}
+    for d, rows in proj_diffs.items():
+        src, tgt = proj_terms[d], proj_terms[d + 1]
+        blocks = [[right_multiplication(a, rows[i][j], src[j], tgt[i])
+                   for j in range(len(src))] for i in range(len(tgt))]
+        diffs[d] = _block_morphism(a, [projective(a, v) for v in src],
+                                   [projective(a, v) for v in tgt], blocks)
+    try:
+        RepComplex(a, terms, diffs)
+        dense = True
+    except InternalCheckError:
+        dense = False
+    return on_paths, dense
+
+
+def _one(p, x=1):
+    return ((p, Fraction(x)),)
+
+
+def test_d_squared_rejects_a_non_complex(algebras):
+    # P(3) -> P(2) -> P(1) by b then a: d∘d is multiplication by ba != 0
+    a = algebras["a3_hereditary"]
+    pb, pa = a.arrow_path("b"), a.arrow_path("a")
+    terms = {0: ("3",), 1: ("2",), 2: ("1",)}
+    assert _verdicts(a, terms, {0: ((_one(pb),),), 1: ((_one(pa),),)}) == (False, False)
+    with pytest.raises(InternalCheckError, match="d∘d"):
+        _assemble_projective_complex(a, terms, {0: ((_one(pb),),), 1: ((_one(pa),),)})
+
+
+def test_d_squared_on_paths_matches_the_dense_check(algebras, acceptance_corpus):
+    # every pair of composable arrows-or-longer paths as a three-term
+    # complex, and every path of length three or more split at two points into
+    # a square whose signs cancel (accepted) or add up (rejected)
+    seen = set()
+    for a in list(algebras.values()) + acceptance_corpus:
+        nontrivial = [p for p in a.path_basis if not p.is_trivial]
+        for outer in nontrivial:          # P(m) -> P(z), runs z -> m
+            for inner in nontrivial:      # P(x) -> P(m), runs m -> x
+                if outer.target != inner.source:
+                    continue
+                terms = {0: (inner.target,), 1: (inner.source,), 2: (outer.source,)}
+                diffs = {0: ((_one(inner),),), 1: ((_one(outer),),)}
+                on_paths, dense = _verdicts(a, terms, diffs)
+                assert on_paths == dense, (a, inner, outer)
+                seen.add(on_paths)
+        for r in nontrivial:
+            for i, j in [(1, k) for k in range(2, len(r))]:
+                heads = [a.make_path(r.arrows[:cut]) for cut in (i, j)]
+                tails = [a.make_path(r.arrows[cut:]) for cut in (i, j)]
+                terms = {0: (r.target,), 1: (heads[0].target, heads[1].target),
+                         2: (r.source,)}
+                for sign in (1, -1):
+                    diffs = {0: ((_one(tails[0]),), (_one(tails[1], sign),)),
+                             1: ((_one(heads[0]), _one(heads[1])),)}
+                    on_paths, dense = _verdicts(a, terms, diffs)
+                    assert on_paths == dense == (sign == -1), (a, r, i, j, sign)
+    assert seen == {True, False}

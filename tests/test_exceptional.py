@@ -259,6 +259,28 @@ def test_default_bounds_cover_threads(algebras, random_corpus_small):
         assert window >= 2
 
 
+def test_search_certifies_each_cycle_once(algebras, search_corpus, monkeypatch):
+    # a closed chain that is a rotation of a certified cycle is not certified
+    # again: every passing certificate is one cycle of the result, kept in
+    # the rotation that passed first
+    for a in (algebras["pent"], search_corpus[3]):
+        calls = []
+
+        def counting(a, entries, verify=exceptional.verify_cycle):
+            cert = verify(a, entries)
+            calls.append((tuple(entries), cert.ok()))
+            return cert
+        monkeypatch.setattr(exceptional, "verify_cycle", counting)
+        found = brute_force_search(a)
+        monkeypatch.undo()
+        passed = [entries for entries, ok in calls if ok]
+        assert len(passed) == len(found) and {c.entries for c in found} == set(passed)
+        for k, (entries, _) in enumerate(calls):
+            candidate = ExceptionalCycle(entries, None)
+            assert not any(cycle_equiv(candidate, ExceptionalCycle(p, None))
+                           for p in passed if calls.index((p, True)) < k), (a, entries)
+
+
 # --- the Serre-image and isomorphism memo against the uncached engine -----------
 
 def _memo_algebras():

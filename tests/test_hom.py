@@ -5,6 +5,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
+
+import rep_oracle
+from conftest import fixture_text
 from gentle import (chain_map_dim, chain_map_space, graded_profile, hom_k_dim,
                     homotopy_space_dim, identity_chain, iso_indecomposable,
                     is_null_homotopic, nakayama_on_projectives, minimize,
@@ -13,6 +17,8 @@ from gentle import (chain_map_dim, chain_map_space, graded_profile, hom_k_dim,
 from gentle.complexes import _assemble_projective_complex
 from gentle.hom import HomPair
 from gentle.exceptional import mouth_objects, serre_image
+from gentle.presentation import InternalCheckError, load_algebra
+from gentle.randomgen import random_gentle
 
 
 def test_identity_is_a_chain_map(algebras):
@@ -156,8 +162,9 @@ def test_serre_duality_on_mouth_pairs(algebras):
 
 
 def test_block_and_generic_paths_agree(algebras):
-    # stripping the projective presentation forces the plain representation
-    # route; the graded dimensions must not move
+    # stripping the projective presentation leaves only the representation
+    # layer, which the reference engine reads; the graded dimensions must
+    # not move, and the path engine refuses such complexes
     from gentle.complexes import RepComplex
     a = algebras["pent"]
     pairs = [
@@ -170,9 +177,97 @@ def test_block_and_generic_paths_agree(algebras):
         bare_x = RepComplex(a, dict(X.terms), dict(X.diffs))
         bare_y = RepComplex(a, dict(Y.terms), dict(Y.diffs))
         fast = graded_profile(X, Y)
-        slow = graded_profile(bare_x, bare_y)
-        assert fast.nonzero() == slow.nonzero()
-        assert chain_map_dim(X, Y) == chain_map_dim(bare_x, bare_y)
+        slow = rep_oracle.RepHomPair(bare_x, bare_y)
+        assert fast.nonzero() == slow.profile()
+        assert chain_map_dim(X, Y) == slow.cycle_dim(0)
+        with pytest.raises(ValueError):
+            graded_profile(bare_x, bare_y)
+
+
+def test_path_basis_spans_projective_homs(acceptance_corpus):
+    # Hom(P(u), P(v)) is spanned by right multiplication with the paths
+    # v ~> u: as many as the nullspace of the commutation constraints has
+    # dimensions, each inside it, independent
+    from gentle import linalg, projective
+    from gentle.complexes import right_multiplication
+    from gentle.hom import _pair_space
+    for a in acceptance_corpus:
+        for u in a.vertices:
+            for v in a.vertices:
+                pu, pv = projective(a, u), projective(a, v)
+                space = rep_oracle.hom_space(a, pu, pv)
+                paths = list(_pair_space(a, u, v))
+                assert len(paths) == len(space.basis), (a, u, v)
+                vecs = [rep_oracle.morphism_vector(
+                            a, pu, pv, right_multiplication(a, ((p, Fraction(1)),), u, v))
+                        for p in paths]
+                assert all(space.coords(vec) is not None for vec in vecs), (a, u, v)
+                assert not vecs or linalg.rank(tuple(vecs)) == len(vecs)
+
+
+def test_composite_outside_the_path_space_is_an_internal_error(algebras):
+    from gentle.hom import _compose_table_left, _compose_table_right
+    a = algebras["a3_hereditary"]       # a: 1 -> 2, b: 2 -> 3
+    mult_a = ((a.arrow_path("a"), Fraction(1)),)
+    mult_b = ((a.arrow_path("b"), Fraction(1)),)
+    # multiplication by a maps P(2) -> P(1); claimed to map into P(3), the
+    # composite ba with the basis path b of Hom(P(3), P(2)) is no map P(3) -> P(3)
+    with pytest.raises(InternalCheckError):
+        _compose_table_left(a, mult_a, "3", "2", "3")
+    # multiplication by b maps P(3) -> P(2); claimed to start at P(2), the
+    # composite ba with the basis path a of Hom(P(2), P(1)) is no map P(2) -> P(1)
+    with pytest.raises(InternalCheckError):
+        _compose_table_right(a, mult_b, "2", "2", "1")
+
+
+def test_nilpotent_endomorphism_is_not_invertible(algebras):
+    # multiplication by x on the stalk P(1) over the dual numbers is not
+    # null-homotopic but squares to zero; the identity is a unit
+    from gentle.hom import _is_invertible_endo
+    a = algebras["dual_numbers"]
+    Y = unfold_string(a, trivial_string(a, "1"), 0)
+    pair = HomPair(Y, Y)
+    assert pair.hom_dim(0) == 2
+    x = {(0, 0, 0): ((a.arrow_path("x"), Fraction(1)),)}
+    one = {(0, 0, 0): ((a.trivial_path("1"), Fraction(1)),)}
+    assert not _is_invertible_endo(pair, x, 2)
+    assert _is_invertible_endo(pair, one, 2)
+
+
+def test_iso_verdicts_match_the_dense_oracle():
+    # the path-level test and the dense one agree on Serre images against
+    # the string complexes with the same summand content, tops aligned, and
+    # on band complexes at different scalars (equal terms and cohomology)
+    import random
+    from gentle.exceptional import _summand_signature, enumerate_strings
+    verdicts = []
+    algebras = [load_algebra(fixture_text(name)) for name in ("pent", "kronecker", "dual_numbers")]
+    algebras += [random_gentle(3002, max_vertices=5), random_gentle(3005, max_vertices=5)]
+    for seed, a in enumerate(algebras):
+        by_signature = {}
+        words = enumerate_strings(a, 3)
+        for w in words:
+            X = unfold_string(a, w, 0)
+            by_signature.setdefault(_summand_signature(X), []).append(X)
+        for i in random.Random(seed).sample(range(len(words)), min(8, len(words))):
+            Y = serre_image(a, unfold_string(a, words[i], 0))
+            top = max(Y.proj_terms)
+            for Z in by_signature.get(_summand_signature(Y), [])[:3]:
+                Yt = shift(Y, top)
+                verdict = iso_indecomposable(Yt, Z)
+                assert verdict == rep_oracle.iso_indecomposable(Yt, Z), (a, words[i], Z)
+                verdicts.append(verdict)
+    for name, expr in [("kronecker", "band: b^-1, a"),
+                       ("pent", "band: d^-1, e^-1, f^-1, c, b, a")]:
+        a = load_algebra(fixture_text(name))
+        w = parse_word(a, expr)
+        for mu in (1, 2, -1):
+            for nu in (1, -1):
+                X, Y = unfold_band(a, w, 0, mu), unfold_band(a, w, 0, nu)
+                verdict = iso_indecomposable(X, Y)
+                assert verdict == rep_oracle.iso_indecomposable(X, Y), (name, mu, nu)
+                verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
 
 def test_zero_complex_homs(algebras):
