@@ -22,11 +22,9 @@ from .words import (HomotopyBand, HomotopyLetter, HomotopyString, WordError,
 from .complexes import (RepComplex, Representation, cohomology_dims, injective,
                         minimize, nakayama_on_projectives, perfect_replacement,
                         projective, shift, simple, unfold_band, unfold_string)
-from .hom import (GradedHomProfile, chain_map_dim, chain_map_space,
-                  graded_profile, hom_k_dim, homotopy_space_dim,
-                  identity_chain, is_null_homotopic, iso_indecomposable,
-                  validate_chain_map)
-from .alp import CombMap, alp_basis, comb_map_to_chain_map, double_maps, graph_maps, single_maps
+from .hom import (GradedHomProfile, HomPair, chain_map_dim, graded_profile,
+                  hom_k_dim, homotopy_space_dim, iso_indecomposable)
+from .alp import CombMap, alp_basis, comb_map_to_path_map, double_maps, graph_maps, single_maps
 from .exceptional import (ExceptionalCycle, MouthObject, SerreOrbit,
                           ag_invariants, brute_force_search, check_band_spherical,
                           classify_exceptional_cycles, cycle_equiv,

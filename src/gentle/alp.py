@@ -16,10 +16,10 @@ chain map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .complexes import RepComplex, WordShape, right_multiplication, _block_morphism, projective
-from .hom import ChainMap, chain_map_dim
+from .complexes import RepComplex, WordShape
+from .hom import PathMap, chain_map_dim
+from .linalg import ONE
 from .presentation import GentleAlgebra, InternalCheckError, Path
 from .words import HomotopyLetter, HomotopyString
 
@@ -272,23 +272,8 @@ def alp_basis(v: RepComplex, w: RepComplex) -> list[CombMap]:
     return basis
 
 
-def comb_map_to_chain_map(v: RepComplex, w: RepComplex, m: CombMap) -> ChainMap:
-    """Assemble the actual degreewise morphisms of a combinatorial map."""
-    a = v.a
+def comb_map_to_path_map(v: RepComplex, w: RepComplex, m: CombMap) -> PathMap:
+    """The components of a combinatorial map on the presentations."""
     uv, uw = _unfolded(v), _unfolded(w)
-    by_degree: dict[int, list[tuple[int, int, Path]]] = {}
-    for i, j, p in m.components:
-        by_degree.setdefault(uv.degree(i), []).append((i, j, p))
-    out: ChainMap = {}
-    for d, comps in by_degree.items():
-        src_vs = v.proj_terms[d]
-        tgt_vs = w.proj_terms[d]
-        blocks = [[right_multiplication(a, (), src_vs[jj], tgt_vs[ii])
-                   for jj in range(len(src_vs))] for ii in range(len(tgt_vs))]
-        for i, j, p in comps:
-            elem = ((p, Fraction(1)),)
-            blocks[uw.shape.slot(j)][uv.shape.slot(i)] = right_multiplication(
-                a, elem, src_vs[uv.shape.slot(i)], tgt_vs[uw.shape.slot(j)])
-        out[d] = _block_morphism(a, [projective(a, x) for x in src_vs],
-                                 [projective(a, x) for x in tgt_vs], blocks)
-    return out
+    return {(uv.degree(i), uv.shape.slot(i), uw.shape.slot(j)): ((p, ONE),)
+            for i, j, p in m.components}

@@ -98,10 +98,6 @@ def compose_morphisms(a: GentleAlgebra, f: Morphism, g: Morphism) -> Morphism:
     return {v: linalg.mat_mul(g[v], f[v]) for v in a.vertices}
 
 
-def add_morphisms(f: Morphism, g: Morphism) -> Morphism:
-    return {v: linalg.mat_add(f[v], g[v]) for v in f}
-
-
 def scale_morphism(c, f: Morphism) -> Morphism:
     return {v: linalg.mat_scale(c, m) for v, m in f.items()}
 

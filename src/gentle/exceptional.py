@@ -491,41 +491,13 @@ def enumerate_strings(a: GentleAlgebra, max_letters: int) -> list[HomotopyString
     return sorted(_iter_strings(a, max_letters), key=canonical_string)
 
 
-def _hom_count_table(a: GentleAlgebra) -> dict[tuple[str, str], int]:
-    key = "hom_counts"
-    if key not in a._cache:
-        counts: dict[tuple[str, str], int] = {}
-        for q in a.path_basis:
-            counts[(q.target, q.source)] = counts.get((q.target, q.source), 0) + 1
-        a._cache[key] = counts
-    return a._cache[key]
-
-
-def _euler_characteristic(a: GentleAlgebra, X: RepComplex) -> int:
-    """Alternating sum of the graded Hom dimensions of (X, X), computed at
-    the chain level where it telescopes to summand counts."""
-    counts = _hom_count_table(a)
-    chi = 0
-    for d, us in X.proj_terms.items():
-        for e, vs in X.proj_terms.items():
-            sign = 1 if (e - d) % 2 == 0 else -1
-            for u in us:
-                for v in vs:
-                    chi += sign * counts.get((u, v), 0)
-    return chi
-
-
 def _member_profile_of(a: GentleAlgebra, X: RepComplex) -> dict[int, int] | None:
     """The self-Hom profile when it fits a cycle member, else None.
 
     Member patterns: rank one in degree zero alone, rank two in degree zero
-    alone, or rank one in degree zero and one other degree.  The Euler
-    characteristic of those patterns lies in {0, 1, 2}, which gives a cheap
-    combinatorial rejection before any rank is computed; the remaining
-    degrees are scanned outward from zero with early exit.
+    alone, or rank one in degree zero and one other degree.  Degree zero is
+    ranked first, then the other degrees outward from zero with early exit.
     """
-    if _euler_characteristic(a, X) not in (0, 1, 2):
-        return None
     pair = HomPair(X, X)
     end = pair.hom_dim(0)
     if end not in (1, 2):
@@ -565,7 +537,12 @@ def brute_force_search(a: GentleAlgebra, max_letters: int | None = None,
     Candidates are the strings whose graded endomorphisms fit a cycle
     member; Serre twists link candidates into chains, and every closed
     chain within the suspension window gets its own certificate unless it
-    is a rotation of a cycle already certified.  Serre images and
+    is a rotation of a chain already certified, whether that certificate
+    passed or failed.  The verdict does not depend on the rotation: E2
+    holds on every closed chain, since its links are Serre twists up to
+    suspension, and the Serre functor, an autoequivalence, then carries
+    E_i to E_{i+1} up to suspension, so the graded Hom spaces tested by E1
+    and E3 are the same from every starting entry.  Serre images and
     isomorphism verdicts are computed once per algebra by the exact engine
     and shared by the linking step and the certificates.
     """
@@ -595,6 +572,7 @@ def brute_force_search(a: GentleAlgebra, max_letters: int | None = None,
                 break
 
     found: list[ExceptionalCycle] = []
+    failed: list[ExceptionalCycle] = []
     for start in sorted(members):
         i, sigma = start, 0
         entries: list[tuple[Word, int]] = []
@@ -612,12 +590,11 @@ def brute_force_search(a: GentleAlgebra, max_letters: int | None = None,
             i, sigma = j, sigma + s - 1
         if not closed:
             continue
-        # each cycle keeps the first of its rotations that passed
+        # each chain class is certified once, in its first rotation
         candidate = ExceptionalCycle(tuple(entries), None)
-        if any(cycle_equiv(candidate, c) for c in found):
+        if any(cycle_equiv(candidate, c) for c in found + failed):
             continue
         cert = verify_cycle(a, entries)
-        if cert.ok():
-            found.append(ExceptionalCycle(tuple(entries), cert))
+        (found if cert.ok() else failed).append(ExceptionalCycle(tuple(entries), cert))
     found.sort(key=lambda c: c.sort_key())
     return found

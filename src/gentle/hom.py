@@ -7,10 +7,10 @@ differential entry is multiplication of path combinations.  The graded Hom
 data of a pair of complexes is therefore assembled from path lookups as a
 two-sided bounded Hom complex, whose cohomology gives dim Hom(X, Y[t])
 simultaneously for every t in the support window; linear algebra only
-computes its ranks, chain-map bases and null-homotopy solves.  The
-local-ring isomorphism test for indecomposables composes chain maps as
-path combinations too; module morphisms are materialized only for callers
-that ask for chain maps or pass them in.
+computes its ranks, chain-map bases and null-homotopy solves.  Chain maps
+are path combinations too (``PathMap``), and the local-ring isomorphism
+test for indecomposables composes them as such; no module morphism is
+built here.
 """
 
 from __future__ import annotations
@@ -20,16 +20,11 @@ from fractions import Fraction
 
 from . import linalg
 from .linalg import Matrix, ZERO, ONE
-from .complexes import (AlgElem, Morphism, RepComplex, _block_morphism,
-                        _elem_combine, _elem_mul, compose_morphisms,
-                        cohomology_dims, morphism_is_zero, projective,
-                        right_multiplication, scale_morphism, zero_morphism)
+from .complexes import AlgElem, RepComplex, _elem_combine, _elem_mul, cohomology_dims
 from .presentation import GentleAlgebra, InternalCheckError, Path
 
-# A chain map X -> Y[n] is a dict degree -> Morphism X^d -> Y^{d+n}.
-ChainMap = dict[int, Morphism]
-# The same map on the presentations: (degree, source summand, target summand)
-# -> the path combination of that component.
+# A map X -> Y[n] on the presentations: (degree d, summand of X^d, summand
+# of Y^{d+n}) -> the path combination of that component.
 PathMap = dict[tuple[int, int, int], AlgElem]
 
 
@@ -107,18 +102,6 @@ def _compose_paths(a: GentleAlgebra, f: PathMap, g: PathMap) -> PathMap:
     return {key: e for key, e in out.items() if e}
 
 
-def _vertex_offsets(a: GentleAlgebra, summands: tuple[str, ...]):
-    """Per summand, the starting coordinate of its block at each vertex."""
-    offsets = []
-    running = {v: 0 for v in a.vertices}
-    for u in summands:
-        offsets.append(dict(running))
-        rep = projective(a, u)
-        for v in a.vertices:
-            running[v] += rep.dim(v)
-    return offsets
-
-
 class HomPair:
     """Graded Hom data of an ordered pair of bounded complexes of projectives.
 
@@ -127,7 +110,9 @@ class HomPair:
     homotopy category.  Both complexes must carry projective presentations:
     a level splits into blocks between single projectives, each with the
     path basis of ``_pair_space``, and the boundary is read off the memoized
-    products of those paths with the differential entries.
+    products of those paths with the differential entries.  Maps are
+    ``PathMap``s: ``path_chain_maps`` gives a basis of the chain maps at a
+    level and ``is_null_homotopic`` tests one.
     """
 
     def __init__(self, X: RepComplex, Y: RepComplex):
@@ -183,36 +168,6 @@ class HomPair:
 
     def level_dim(self, n: int) -> int:
         return sum(k for _, k in self._level_slots(n))
-
-    def _dense_at(self, d: int, n: int, elems: dict[tuple[int, int], AlgElem]) -> Morphism:
-        """The module morphism X^d -> Y^{d+n} with the given block entries."""
-        a = self.a
-        src_vs, tgt_vs = self.X.proj_terms[d], self.Y.proj_terms[d + n]
-        blocks = [[right_multiplication(a, elems.get((k, l), ()), u, v)
-                   for k, u in enumerate(src_vs)] for l, v in enumerate(tgt_vs)]
-        return _block_morphism(a, [projective(a, u) for u in src_vs],
-                               [projective(a, v) for v in tgt_vs], blocks)
-
-    def _coords_at(self, d: int, n: int, f: Morphism) -> tuple[Fraction, ...] | None:
-        """Coordinates of a morphism X^d -> Y^{d+n} in the level basis: each
-        block is read off the image of its generator e_u and the whole
-        morphism is confirmed by rebuilding it."""
-        out: list[Fraction] = []
-        elems: dict[tuple[int, int], AlgElem] = {}
-        xoff = _vertex_offsets(self.a, self.X.proj_terms[d])
-        yoff = _vertex_offsets(self.a, self.Y.proj_terms[d + n])
-        for k, l, _, space in self._blocks[(d, n)]:
-            u = self.X.proj_terms[d][k]
-            m, col, r0 = f.get(u, ()), xoff[k][u], yoff[l][u]
-            coords = [m[r][col] if r < len(m) and col < len(m[r]) else ZERO
-                      for r in range(r0, r0 + len(space))]
-            out.extend(coords)
-            elems[(k, l)] = tuple((p, x) for p, x in zip(space, coords) if x)
-        rebuilt = self._dense_at(d, n, elems)
-        if not all(linalg.mat_eq(rebuilt[w], f.get(w, linalg.zeros(len(rebuilt[w]), 0)))
-                   for w in self.a.vertices):
-            return None
-        return tuple(out)
 
     # -- boundary ------------------------------------------------------------
     def boundary_matrix(self, n: int) -> Matrix:
@@ -307,16 +262,6 @@ class HomPair:
         vecs, _ = linalg.nullspace(self.boundary_matrix(n), n_cols=self.level_dim(n))
         return [self._path_map(n, v) for v in vecs]
 
-    def chain_maps(self, n: int = 0) -> list[ChainMap]:
-        """The basis of ``path_chain_maps`` as degreewise module morphisms."""
-        out = []
-        for f in self.path_chain_maps(n):
-            by_degree: dict[int, dict[tuple[int, int], AlgElem]] = {}
-            for (d, k, l), e in f.items():
-                by_degree.setdefault(d, {})[(k, l)] = e
-            out.append({d: self._dense_at(d, n, elems) for d, elems in by_degree.items()})
-        return out
-
     def _path_map(self, n: int, vec) -> PathMap:
         out: PathMap = {}
         off = 0
@@ -334,49 +279,27 @@ class HomPair:
         offsets = self._target_offsets(n)
         out = [ZERO] * self.level_dim(n)
         for (d, k, l), elem in f.items():
-            u, v = self.X.proj_terms[d][k], self.Y.proj_terms[d + n][l]
-            coords = _coords_in(self.a, elem, u, v)
-            base = offsets[d] + self._block_index[(d, n)][(k, l)][0]
-            out[base: base + len(coords)] = coords
+            block = self._block_index.get((d, n), {}).get((k, l))
+            if block is None or any(p not in block[1] for p, _ in elem):
+                raise ValueError(f"component {(d, k, l)} is not a map in level {n} of this pair")
+            base, space = offsets[d] + block[0], block[1]
+            for p, x in elem:
+                out[base + space[p]] += x
         return tuple(out)
 
-    def flatten(self, n: int, f: ChainMap) -> tuple[Fraction, ...] | None:
-        out: list[Fraction] = []
-        for d, k in self._level_slots(n):
-            g = f.get(d)
-            if g is None:
-                out.extend([ZERO] * k)
-                continue
-            coords = self._coords_at(d, n, g)
-            if coords is None:
-                return None
-            out.extend(coords)
-        for d in f:
-            if not morphism_is_zero(f[d]):
-                if d not in [dd for dd, _ in self._level_slots(n)]:
-                    return None
-        return tuple(out)
-
-    def _is_boundary(self, n: int, vec: tuple[Fraction, ...]) -> bool:
-        """Whether level-n coordinates lie in the image of level n-1."""
+    def is_null_homotopic(self, f: PathMap, n: int = 0) -> bool:
+        """Whether the level-n map f is dY∘h + h∘dX for some degree -1
+        family h, decided on the coordinates of f; a component of f outside
+        the blocks of level n, or with a path outside its block's basis, is
+        a ``ValueError``."""
+        vec = self._path_coords(n, f)
         if all(x == 0 for x in vec):
             return True
         return linalg.solve(self.boundary_matrix(n - 1), vec) is not None
 
-    def is_null_homotopic(self, f: ChainMap, n: int = 0) -> bool:
-        """Whether f = dY∘h + h∘dX for some degree -1 family h."""
-        vec = self.flatten(n, f)
-        if vec is None:
-            raise ValueError("not a level-n map of this pair")
-        return self._is_boundary(n, vec)
-
 
 def graded_profile(X: RepComplex, Y: RepComplex) -> GradedHomProfile:
     return HomPair(X, Y).profile()
-
-
-def chain_map_space(X: RepComplex, Y: RepComplex) -> list[ChainMap]:
-    return HomPair(X, Y).chain_maps(0)
 
 
 def chain_map_dim(X: RepComplex, Y: RepComplex) -> int:
@@ -390,36 +313,6 @@ def homotopy_space_dim(X: RepComplex, Y: RepComplex) -> int:
 
 def hom_k_dim(X: RepComplex, Y: RepComplex) -> int:
     return HomPair(X, Y).hom_dim(0)
-
-
-def identity_chain(X: RepComplex) -> ChainMap:
-    out: ChainMap = {}
-    for d, t in X.terms.items():
-        out[d] = {v: linalg.identity(t.dim(v)) for v in X.a.vertices}
-    return out
-
-
-def validate_chain_map(X: RepComplex, Y: RepComplex, f: ChainMap, n: int = 0) -> bool:
-    """Degreewise shapes and the commutation rule for a map X -> Y[n]."""
-    a = X.a
-    sign = ONE if n % 2 == 0 else -ONE
-    sx = X.support()
-    if sx is None:
-        return True
-    for d in range(sx[0] - 1, sx[1] + 2):
-        fd = f.get(d, zero_morphism(a, X.term(d), Y.term(d + n)))
-        fd1 = f.get(d + 1, zero_morphism(a, X.term(d + 1), Y.term(d + n + 1)))
-        lhs = compose_morphisms(a, X.diff(d), fd1)
-        rhs = compose_morphisms(a, fd, Y.diff(d + n))
-        rhs = scale_morphism(sign, rhs)
-        for v in a.vertices:
-            if not linalg.mat_eq(lhs[v], rhs[v]):
-                return False
-    return True
-
-
-def is_null_homotopic(X: RepComplex, Y: RepComplex, f: ChainMap, n: int = 0) -> bool:
-    return HomPair(X, Y).is_null_homotopic(f, n)
 
 
 def _quick_distinct(X: RepComplex, Y: RepComplex) -> bool:
@@ -457,11 +350,11 @@ def iso_indecomposable(X: RepComplex, Y: RepComplex) -> bool:
 def _is_invertible_endo(pair_yy: HomPair, c: PathMap, end_dim: int) -> bool:
     """In a local endomorphism ring: invertible iff not nilpotent modulo
     homotopy; nilpotency shows up by the (dim+1)-st power."""
-    if pair_yy._is_boundary(0, pair_yy._path_coords(0, c)):
+    if pair_yy.is_null_homotopic(c):
         return False
     power = c
     for _ in range(end_dim):
         power = _compose_paths(pair_yy.a, power, c)
-        if pair_yy._is_boundary(0, pair_yy._path_coords(0, power)):
+        if pair_yy.is_null_homotopic(power):
             return False
     return True

@@ -4,7 +4,9 @@ Module morphisms are nullspaces of the commutation constraints over the
 rationals, and the graded Hom complex of a pair of complexes is assembled
 from them by composing dense matrices.  It needs no projective
 presentation and shares no code with the path-level engine in
-``gentle.hom``, which the tests compare against it.
+``gentle.hom``, which the tests compare against it; ``dense_chain_map``
+turns the engine's path maps into the degreewise module morphisms this
+oracle works on.
 """
 
 from __future__ import annotations
@@ -13,13 +15,37 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from gentle import linalg
-from gentle.complexes import (Morphism, RepComplex, Representation, add_morphisms,
+from gentle.complexes import (Morphism, RepComplex, Representation, _block_morphism,
                               cohomology_dims, compose_morphisms, morphism_is_zero,
-                              scale_morphism, zero_morphism)
+                              projective, right_multiplication, scale_morphism,
+                              zero_morphism)
 from gentle.linalg import ONE, ZERO, Matrix
 from gentle.presentation import GentleAlgebra
 
+# A chain map X -> Y[n] is a dict degree -> Morphism X^d -> Y^{d+n}.
 ChainMap = dict[int, Morphism]
+
+
+def add_morphisms(f: Morphism, g: Morphism) -> Morphism:
+    return {v: linalg.mat_add(f[v], g[v]) for v in f}
+
+
+def dense_chain_map(X: RepComplex, Y: RepComplex, f, n: int = 0) -> ChainMap:
+    """The module morphisms X^d -> Y^{d+n} of a map given on the
+    presentations as (degree, source summand, target summand) -> path
+    combination, each block the right multiplication by its entry."""
+    a = X.a
+    by_degree: dict[int, dict[tuple[int, int], tuple]] = {}
+    for (d, k, l), elem in f.items():
+        by_degree.setdefault(d, {})[(k, l)] = elem
+    out: ChainMap = {}
+    for d, elems in by_degree.items():
+        src_vs, tgt_vs = X.proj_terms[d], Y.proj_terms[d + n]
+        blocks = [[right_multiplication(a, elems.get((k, l), ()), u, v)
+                   for k, u in enumerate(src_vs)] for l, v in enumerate(tgt_vs)]
+        out[d] = _block_morphism(a, [projective(a, u) for u in src_vs],
+                                 [projective(a, v) for v in tgt_vs], blocks)
+    return out
 
 
 def _rep_key(r: Representation):
@@ -204,6 +230,23 @@ class RepHomPair:
                 off += len(space.basis)
             out.append(f)
         return out
+
+    def is_chain_map(self, f: ChainMap, n: int = 0) -> bool:
+        """Whether f commutes with the differentials as a map X -> Y[n]:
+        dY∘f_d = (-1)^n f_{d+1}∘dX in every degree, missing degrees zero."""
+        a, X, Y = self.a, self.X, self.Y
+        sign = ONE if n % 2 == 0 else -ONE
+        sx = X.support()
+        if sx is None:
+            return True
+        for d in range(sx[0] - 1, sx[1] + 2):
+            fd = f.get(d, zero_morphism(a, X.term(d), Y.term(d + n)))
+            fd1 = f.get(d + 1, zero_morphism(a, X.term(d + 1), Y.term(d + n + 1)))
+            lhs = compose_morphisms(a, X.diff(d), fd1)
+            rhs = scale_morphism(sign, compose_morphisms(a, fd, Y.diff(d + n)))
+            if not all(linalg.mat_eq(lhs[v], rhs[v]) for v in a.vertices):
+                return False
+        return True
 
     def is_null_homotopic(self, f: ChainMap, n: int = 0) -> bool:
         vec = self.coords(n, f)

@@ -14,6 +14,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import rep_oracle
 from conftest import fixture_text
 
 from gentle import (aag_cycles, ag_invariants, alp_basis, brute_force_search,
@@ -92,20 +93,20 @@ def test_criterion_3_dual_numbers(algebras):
     assert word.is_trivial and s == 0
     for length in (1, 2, 3):
         X = unfold_string(a, parse_word(a, ", ".join(["x"] * length)), 0)
-        f = {}
+        # the identity of P(1) with sign (-1)^d from each degree to the next
         lo, hi = X.support()
-        for d in range(lo, hi):
-            sign = Fraction(1) if d % 2 == 0 else Fraction(-1)
-            n = X.terms[d].dim("1")
-            f[d] = {"1": tuple(tuple(sign if i == j else Fraction(0) for j in range(n))
-                               for i in range(n))}
+        f = {(d, 0, 0): ((a.trivial_path("1"), Fraction(1) if d % 2 == 0 else Fraction(-1)),)
+             for d in range(lo, hi)}
         pair = HomPair(X, X)
-        coords = pair.flatten(1, f)
-        assert coords is not None
+        coords = pair._path_coords(1, f)
+        assert pair._path_map(1, coords) == f
         boundary = pair.boundary_matrix(1)
         assert all(sum(row[k] * coords[k] for k in range(len(coords))) == 0
                    for row in boundary)
         assert not pair.is_null_homotopic(f, 1), f"tower of height {length}"
+        dense = rep_oracle.dense_chain_map(X, X, f, 1)
+        oracle = rep_oracle.RepHomPair(X, X)
+        assert oracle.is_chain_map(dense, 1) and not oracle.is_null_homotopic(dense, 1)
     _report("criterion 3: loop-algebra fixture (AG (1,0), stalk cycle, "
             "non-null tower maps)")
 

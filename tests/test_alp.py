@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from gentle import (alp_basis, chain_map_dim, comb_map_to_chain_map,
-                    double_maps, enumerate_threads, graph_maps,
-                    is_null_homotopic, parse_word, single_maps, shift,
-                    thread_string, trivial_string, unfold_string,
-                    validate_chain_map)
+import rep_oracle
+from gentle import (HomPair, alp_basis, chain_map_dim, comb_map_to_path_map,
+                    double_maps, enumerate_threads, graph_maps, parse_word,
+                    single_maps, shift, thread_string, trivial_string,
+                    unfold_string)
 from gentle.exceptional import mouth_objects, serre_of_mouth
 from gentle.randomgen import random_gentle
 
@@ -66,9 +66,10 @@ def test_doubles_between_mouth_complexes_null_homotopic(algebras):
         for X in cxs:
             for Y in cxs:
                 for m in double_maps(X, Y):
-                    f = comb_map_to_chain_map(X, Y, m)
-                    assert validate_chain_map(X, Y, f)
-                    assert is_null_homotopic(X, Y, f)
+                    f = comb_map_to_path_map(X, Y, m)
+                    dense = rep_oracle.dense_chain_map(X, Y, f)
+                    assert rep_oracle.RepHomPair(X, Y).is_chain_map(dense)
+                    assert HomPair(X, Y).is_null_homotopic(f)
                     found += 1
     assert found > 0
 
@@ -97,14 +98,31 @@ def test_basis_counts_on_random_algebras(random_corpus_small):
                 alp_basis(X, Y)
 
 
-def test_basis_maps_are_chain_maps(algebras):
-    a = algebras["pent"]
-    cxs = _thread_complexes(a)
-    for X in cxs[:4]:
-        for Y in cxs[:4]:
-            for m in alp_basis(X, Y):
-                f = comb_map_to_chain_map(X, Y, m)
-                assert validate_chain_map(X, Y, f)
+def test_basis_maps_are_chain_maps(algebras, random_corpus_small):
+    # every chain-map basis map of the engine and every combinatorial map,
+    # expanded into module morphisms, commutes with the differentials, and
+    # the engine's null-homotopy verdict on it is the dense one; thread
+    # complexes, plus mixed-orientation words, whose degrees hold several
+    # summands
+    from gentle.exceptional import enumerate_strings
+    groups = [(a, _thread_complexes(a)) for a in list(algebras.values()) + random_corpus_small[:6]]
+    for name in ["pent", "a3_hereditary", "kronecker"]:
+        a = algebras[name]
+        groups.append((a, [unfold_string(a, w, 0) for w in enumerate_strings(a, 3)[:12]]))
+    verdicts = set()
+    for a, cxs in groups:
+        for X in cxs:
+            for Y in cxs:
+                pair, oracle = HomPair(X, Y), rep_oracle.RepHomPair(X, Y)
+                maps = pair.path_chain_maps(0)
+                maps += [comb_map_to_path_map(X, Y, m) for m in alp_basis(X, Y)]
+                for f in maps:
+                    dense = rep_oracle.dense_chain_map(X, Y, f)
+                    assert oracle.is_chain_map(dense), (a, X, Y, f)
+                    verdict = pair.is_null_homotopic(f)
+                    assert verdict == oracle.is_null_homotopic(dense), (a, X, Y, f)
+                    verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_mouth_twist_spanned_by_sign_matched_thread(algebras):
@@ -117,9 +135,9 @@ def test_mouth_twist_spanned_by_sign_matched_thread(algebras):
         target = unfold_string(a, thread_string(a, thread), 0)
         shifted = shift(target, s)
         basis = alp_basis(M.complex, shifted)
+        pair = HomPair(M.complex, shifted)
         surviving = [m for m in basis
-                     if not is_null_homotopic(M.complex, shifted,
-                                              comb_map_to_chain_map(M.complex, shifted, m))]
+                     if not pair.is_null_homotopic(comb_map_to_path_map(M.complex, shifted, m))]
         assert len(surviving) >= 1
         paths = [p for m in surviving for _, _, p in m.components]
         carried = []

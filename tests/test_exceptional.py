@@ -9,9 +9,9 @@ import pytest
 from conftest import fixture_text
 from gentle import (ExceptionalCycle, ag_invariants, brute_force_search,
                     check_band_spherical, classify_exceptional_cycles,
-                    cycle_equiv, exceptional, load_algebra, mouth_objects,
-                    parse_word, serre_of_mouth, thread_string, trivial_string,
-                    unfold_string, verify_cycle, word_key)
+                    cycle_equiv, exceptional, graded_profile, load_algebra,
+                    mouth_objects, parse_word, serre_of_mouth, thread_string,
+                    trivial_string, unfold_string, verify_cycle, word_key)
 from gentle.complexes import (minimize, nakayama_on_projectives,
                               perfect_replacement, shift)
 from gentle.exceptional import (_summand_signature, default_search_bounds,
@@ -251,18 +251,48 @@ def test_long_cycle_members_are_noncritical_mouths(algebras):
 
 
 def test_default_bounds_cover_threads(algebras, random_corpus_small):
+    # the letter bound clears the longest forbidden thread by a margin
+    # whenever a margin of one fits the string budget; otherwise it is the
+    # floor, the longest forbidden thread (at least one letter), which
+    # random_gentle(510) reaches with 4 against 4; every mouth complex fits
+    from itertools import islice
     from gentle import enumerate_threads
-    for a in list(algebras.values()) + random_corpus_small:
+    from gentle.exceptional import SEARCH_WORD_BUDGET, _iter_strings
+    floor_case = random_gentle(510, max_vertices=8)
+    for a in list(algebras.values()) + random_corpus_small + [floor_case]:
         max_letters, window = default_search_bounds(a)
         longest = max((t.length for t in enumerate_threads(a).forbidden), default=0)
-        assert max_letters > longest
+        floor = max(longest, 1)
+        counted = sum(1 for _ in islice(_iter_strings(a, floor + 1), SEARCH_WORD_BUDGET + 1))
+        if counted <= SEARCH_WORD_BUDGET:
+            assert max_letters > longest, a
+            assert max_letters in (floor + 1, max(floor + 2, 3)), a
+        else:
+            assert max_letters == floor, a
         assert window >= 2
+    assert (max_letters, longest) == (4, 4) and counted > SEARCH_WORD_BUDGET
+
+
+def test_member_profile_is_none_off_the_member_patterns(algebras):
+    # the member screen returns the self-Hom profile exactly for the member
+    # patterns and None otherwise; the search funnel counts the non-None
+    a = algebras["pent"]
+    seen = set()
+    for w in enumerate_strings(a, 3):
+        X = unfold_string(a, w, 0)
+        prof = graded_profile(X, X).nonzero()
+        fits = prof in ({0: 1}, {0: 2}) or (len(prof) == 2 and set(prof.values()) == {1})
+        assert exceptional._member_profile_of(a, X) == (prof if fits else None), w
+        seen.add(fits)
+    assert seen == {True, False}
 
 
 def test_search_certifies_each_cycle_once(algebras, search_corpus, monkeypatch):
-    # a closed chain that is a rotation of a certified cycle is not certified
-    # again: every passing certificate is one cycle of the result, kept in
-    # the rotation that passed first
+    # a closed chain that is a rotation of a chain already certified is not
+    # certified again, whether that certificate passed or failed: every
+    # passing certificate is one cycle of the result, kept in the rotation
+    # that was certified
+    failures = 0
     for a in (algebras["pent"], search_corpus[3]):
         calls = []
 
@@ -277,8 +307,10 @@ def test_search_certifies_each_cycle_once(algebras, search_corpus, monkeypatch):
         assert len(passed) == len(found) and {c.entries for c in found} == set(passed)
         for k, (entries, _) in enumerate(calls):
             candidate = ExceptionalCycle(entries, None)
-            assert not any(cycle_equiv(candidate, ExceptionalCycle(p, None))
-                           for p in passed if calls.index((p, True)) < k), (a, entries)
+            assert not any(cycle_equiv(candidate, ExceptionalCycle(earlier, None))
+                           for earlier, _ in calls[:k]), (a, entries)
+        failures += len(calls) - len(passed)
+    assert failures > 0
 
 
 # --- the Serre-image and isomorphism memo against the uncached engine -----------

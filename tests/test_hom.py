@@ -9,22 +9,32 @@ import pytest
 
 import rep_oracle
 from conftest import fixture_text
-from gentle import (chain_map_dim, chain_map_space, graded_profile, hom_k_dim,
-                    homotopy_space_dim, identity_chain, iso_indecomposable,
-                    is_null_homotopic, nakayama_on_projectives, minimize,
-                    parse_word, perfect_replacement, shift, trivial_string,
-                    unfold_band, unfold_string, validate_chain_map)
+from gentle import (HomPair, chain_map_dim, graded_profile, hom_k_dim,
+                    homotopy_space_dim, iso_indecomposable, linalg,
+                    nakayama_on_projectives, minimize, parse_word,
+                    perfect_replacement, shift, trivial_string, unfold_band,
+                    unfold_string)
 from gentle.complexes import _assemble_projective_complex
-from gentle.hom import HomPair
 from gentle.exceptional import mouth_objects, serre_image
 from gentle.presentation import InternalCheckError, load_algebra
 from gentle.randomgen import random_gentle
 
 
+def _identity(X):
+    """The identity of X on its presentation."""
+    return {(d, k, k): ((X.a.trivial_path(u), Fraction(1)),)
+            for d, vs in X.proj_terms.items() for k, u in enumerate(vs)}
+
+
 def test_identity_is_a_chain_map(algebras):
     a = algebras["pent"]
     X = unfold_string(a, parse_word(a, "d, a^-1"), 0)
-    assert validate_chain_map(X, X, identity_chain(X))
+    one = _identity(X)
+    dense = rep_oracle.dense_chain_map(X, X, one)
+    assert all(dense[d][v] == linalg.identity(t.dim(v))
+               for d, t in X.terms.items() for v in a.vertices)
+    assert rep_oracle.RepHomPair(X, X).is_chain_map(dense)
+    assert not HomPair(X, X).is_null_homotopic(one)
     assert chain_map_dim(X, X) >= 1
     assert hom_k_dim(X, X) >= 1
 
@@ -37,27 +47,30 @@ def test_disjoint_supports_no_maps(algebras):
 
 
 def test_contractible_target_everything_null_homotopic(algebras):
+    # every level of the window: at level 0 the only chain map is zero, at
+    # level 1 the stalk maps onto the top of the cone, through its bottom
     a = algebras["a2"]
     triv = a.trivial_path("1")
     C = _assemble_projective_complex(
         a, {0: ("1",), 1: ("1",)}, {0: ((((triv, Fraction(1)),),),)})
     X = unfold_string(a, trivial_string(a, "1"), 0)
-    for f in chain_map_space(X, C):
-        assert is_null_homotopic(X, C, f)
+    pair, oracle = HomPair(X, C), rep_oracle.RepHomPair(X, C)
+    lo, hi = pair.window
+    maps = [(n, f) for n in range(lo, hi + 1) for f in pair.path_chain_maps(n)]
+    assert maps
+    for n, f in maps:
+        assert pair.is_null_homotopic(f, n)
+        assert oracle.is_null_homotopic(rep_oracle.dense_chain_map(X, C, f, n), n)
     assert hom_k_dim(X, C) == 0
+    assert graded_profile(X, C).nonzero() == {}
 
 
 def _alternating_identity_map(X):
-    """Components (-1)^d at each degree, a chain map to the suspension."""
-    out = {}
+    """Components (-1)^d e_v from each summand of X^d to the same summand
+    of X^{d+1}, a chain map to the suspension on a tower of equal terms."""
     lo, hi = X.support()
-    for d in range(lo, hi):
-        sign = Fraction(1) if d % 2 == 0 else Fraction(-1)
-        out[d] = {v: tuple(tuple(sign if i == j else Fraction(0)
-                                 for j in range(X.terms[d].dim(v)))
-                           for i in range(X.terms[d + 1].dim(v)))
-                  for v in X.a.vertices}
-    return out
+    return {(d, k, k): ((X.a.trivial_path(u), Fraction(1) if d % 2 == 0 else Fraction(-1)),)
+            for d in range(lo, hi) for k, u in enumerate(X.proj_terms[d])}
 
 
 def test_dual_numbers_tower_map_not_null_homotopic(algebras):
@@ -67,14 +80,35 @@ def test_dual_numbers_tower_map_not_null_homotopic(algebras):
         X = unfold_string(a, w, 0)
         f = _alternating_identity_map(X)
         pair = HomPair(X, X)
-        coords = pair.flatten(1, f)
-        assert coords is not None
+        coords = pair._path_coords(1, f)
+        assert pair._path_map(1, coords) == f          # f lies in the level basis
         boundary = pair.boundary_matrix(1)
         image = [sum(boundary[i][j] * coords[j] for j in range(len(coords)))
                  for i in range(len(boundary))]
         assert all(x == 0 for x in image)          # a genuine map to the suspension
         assert not pair.is_null_homotopic(f, 1)
         assert pair.hom_dim(1) >= 1
+        oracle, dense = rep_oracle.RepHomPair(X, X), rep_oracle.dense_chain_map(X, X, f, 1)
+        assert oracle.is_chain_map(dense, 1) and not oracle.is_null_homotopic(dense, 1)
+
+
+def test_component_outside_the_level_is_a_value_error(algebras):
+    # pent: Hom(P(1), P(3)) has the one basis path f then a, Hom(P(1), P(4)) none
+    a = algebras["pent"]
+    X = unfold_string(a, trivial_string(a, "1"), 0)
+    Y = unfold_string(a, trivial_string(a, "3"), 0)
+    Z = unfold_string(a, trivial_string(a, "4"), 0)
+    fa = ((a.make_path(("f", "a")), Fraction(1)),)
+    pair = HomPair(X, Y)
+    assert not pair.is_null_homotopic({(0, 0, 0): fa})
+    e3 = ((a.trivial_path("3"), Fraction(1)),)      # not a map P(1) -> P(3)
+    for bad in ({(1, 0, 0): fa}, {(0, 1, 0): fa}, {(0, 0, 1): fa}, {(0, 0, 0): e3}):
+        with pytest.raises(ValueError):
+            pair.is_null_homotopic(bad)
+    with pytest.raises(ValueError):
+        pair.is_null_homotopic({(0, 0, 0): fa}, 1)     # no level-1 blocks
+    with pytest.raises(ValueError):
+        HomPair(X, Z).is_null_homotopic({(0, 0, 0): fa})
 
 
 def test_mouth_end_dimensions(algebras):
