@@ -50,9 +50,10 @@ def _parse_word_at(a, expr: str):
     if "@" in expr:
         body, _, s = expr.rpartition("@")
         try:
-            return parse_word(a, body), int(s)
+            shift_by = int(s)
         except ValueError:
             raise DomainError(f"bad shift suffix in {expr!r}")
+        return parse_word(a, body), shift_by
     return parse_word(a, expr), 0
 
 

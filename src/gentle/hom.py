@@ -6,11 +6,15 @@ acting by right multiplication, and composing such a map with a
 differential entry is multiplication of path combinations.  The graded Hom
 data of a pair of complexes is therefore assembled from path lookups as a
 two-sided bounded Hom complex, whose cohomology gives dim Hom(X, Y[t])
-simultaneously for every t in the support window; linear algebra only
-computes its ranks, chain-map bases and null-homotopy solves.  Chain maps
-are path combinations too (``PathMap``), and the local-ring isomorphism
-test for indecomposables composes them as such; no module morphism is
-built here.
+simultaneously for every t in the support window.  Its boundary is built
+as sparse integer columns: the memoized composition tables hold (index,
+value) pairs, ints except where a band scalar p/q puts a ``Fraction``, and
+on string complexes every entry is ±1.  The exact elimination core of
+``linalg`` computes ranks (once per boundary level of a pair), chain-map
+bases and null-homotopy membership from those columns.  Chain maps are
+path combinations too (``PathMap``), and the local-ring isomorphism test
+for indecomposables composes them as such; no module morphism is built
+here.
 """
 
 from __future__ import annotations
@@ -58,21 +62,25 @@ def _pair_space(a: GentleAlgebra, u: str, v: str) -> dict[Path, int]:
     return a._cache[key]
 
 
-def _coords_in(a: GentleAlgebra, elem: AlgElem, u: str, v: str) -> tuple[Fraction, ...]:
-    """Coordinates of a path combination in the path basis of Hom(P(u), P(v))."""
+def _coords_in(a: GentleAlgebra, elem: AlgElem, u: str, v: str
+               ) -> tuple[tuple[int, int | Fraction], ...]:
+    """Sparse coordinates (index, value) of a path combination in the path
+    basis of Hom(P(u), P(v)), by index; a value is an int unless the
+    combination carries a non-integral scalar."""
     space = _pair_space(a, u, v)
-    out = [ZERO] * len(space)
+    out: dict[int, Fraction] = {}
     for p, x in elem:
         i = space.get(p)
         if i is None:
             raise InternalCheckError(f"composite {p!r} is not a map P({u}) -> P({v})")
-        out[i] += x
-    return tuple(out)
+        out[i] = out.get(i, ZERO) + x
+    return tuple((i, x.numerator if x.denominator == 1 else x)
+                 for i, x in sorted(out.items()) if x)
 
 
 def _compose_table_left(a: GentleAlgebra, elem: AlgElem, u: str, v: str, vp: str):
-    """Coordinates of (multiplication map P(v)->P(vp)) ∘ p for every basis
-    path p of Hom(P(u), P(v)), expressed in Hom(P(u), P(vp))."""
+    """Sparse coordinates of (multiplication map P(v)->P(vp)) ∘ p for every
+    basis path p of Hom(P(u), P(v)), expressed in Hom(P(u), P(vp))."""
     key = ("Tleft", elem, u, v, vp)
     if key not in a._cache:
         a._cache[key] = tuple(_coords_in(a, _elem_mul(a, ((p, ONE),), elem), u, vp)
@@ -81,13 +89,28 @@ def _compose_table_left(a: GentleAlgebra, elem: AlgElem, u: str, v: str, vp: str
 
 
 def _compose_table_right(a: GentleAlgebra, elem: AlgElem, up: str, u: str, v: str):
-    """Coordinates of p ∘ (multiplication map P(up)->P(u)) for every basis
-    path p of Hom(P(u), P(v)), expressed in Hom(P(up), P(v))."""
+    """Sparse coordinates of p ∘ (multiplication map P(up)->P(u)) for every
+    basis path p of Hom(P(u), P(v)), expressed in Hom(P(up), P(v))."""
     key = ("Tright", elem, up, u, v)
     if key not in a._cache:
         a._cache[key] = tuple(_coords_in(a, _elem_mul(a, elem, ((p, ONE),)), up, v)
                               for p in _pair_space(a, u, v))
     return a._cache[key]
+
+
+def _scatter(cols: list[dict[int, int | Fraction]], table, block, base: int, sign: int) -> None:
+    """Write sign times one composition table into the columns of a block,
+    at the target block ``block`` (offset, basis) of a level starting at
+    ``base``; a composite landing where the target level has no block is an
+    internal error."""
+    if block is None:
+        if any(table):
+            raise InternalCheckError("boundary image at a vanished slot")
+        return
+    base += block[0]
+    for col, coords in zip(cols, table):
+        for i, x in coords:
+            col[base + i] = x if sign > 0 else -x
 
 
 def _compose_paths(a: GentleAlgebra, f: PathMap, g: PathMap) -> PathMap:
@@ -110,7 +133,12 @@ class HomPair:
     homotopy category.  Both complexes must carry projective presentations:
     a level splits into blocks between single projectives, each with the
     path basis of ``_pair_space``, and the boundary is read off the memoized
-    products of those paths with the differential entries.  Maps are
+    products of those paths with the differential entries, one table per
+    block and entry, as sparse integer columns (``boundary_columns``;
+    ``boundary_matrix`` is their dense view).  Each level's columns and
+    their echelon form are built once per pair, so ``profile`` and repeated
+    ``hom_dim`` calls rank every level once, and every null-homotopy test
+    at a level reduces against the same echelon form.  Maps are
     ``PathMap``s: ``path_chain_maps`` gives a basis of the chain maps at a
     level and ``is_null_homotopic`` tests one.
     """
@@ -133,7 +161,8 @@ class HomPair:
         # (d, n) -> ordered [(k, l, offset, path basis)] and a lookup by (k, l)
         self._blocks: dict[tuple[int, int], list[tuple[int, int, int, dict[Path, int]]]] = {}
         self._block_index: dict[tuple[int, int], dict[tuple[int, int], tuple[int, dict[Path, int]]]] = {}
-        self._boundary: dict[int, Matrix] = {}
+        self._columns: dict[int, list[dict[int, int | Fraction]]] = {}
+        self._spans: dict[int, linalg.Echelon] = {}
 
     # -- level bookkeeping ---------------------------------------------------
     def _slot_dim(self, d: int, n: int) -> int:
@@ -170,65 +199,50 @@ class HomPair:
         return sum(k for _, k in self._level_slots(n))
 
     # -- boundary ------------------------------------------------------------
-    def boundary_matrix(self, n: int) -> Matrix:
-        """Matrix of level n -> level n+1 in the chosen bases."""
-        if n in self._boundary:
-            return self._boundary[n]
+    def boundary_columns(self, n: int) -> list[dict[int, int | Fraction]]:
+        """Sparse columns of level n -> level n+1 in the chosen bases: column
+        j is {row: value} for the boundary of basis element j."""
+        if n in self._columns:
+            return self._columns[n]
         a = self.a
-        src_slots = self._level_slots(n)
-        tgt_dim = self.level_dim(n + 1)
+        X, Y = self.X, self.Y
         tgt_offsets = self._target_offsets(n + 1)
-        sign = ONE if n % 2 == 0 else -ONE
-        columns: list[list[Fraction]] = []
-        for d, _ in src_slots:
-            x_terms = self.X.proj_terms[d]
-            y_terms = self.Y.proj_terms[d + n]
-            dY = self.Y.proj_diffs.get(d + n)
-            dX = self.X.proj_diffs.get(d - 1)
+        sign = -1 if n % 2 == 0 else 1       # of the f∘dX term, -(-1)^n
+        columns: list[dict[int, int | Fraction]] = []
+        for d, _ in self._level_slots(n):
+            x_terms, y_terms = X.proj_terms[d], Y.proj_terms[d + n]
+            dY = Y.proj_diffs.get(d + n) if d + n + 1 in Y.terms else None
+            dX = X.proj_diffs.get(d - 1) if d - 1 in X.terms else None
             up_index = self._block_index.get((d, n + 1), {}) if d in tgt_offsets else {}
             dn_index = self._block_index.get((d - 1, n + 1), {}) if d - 1 in tgt_offsets else {}
             for k, l, _, space in self._blocks[(d, n)]:
                 u, v = x_terms[k], y_terms[l]
-                for b_idx in range(len(space)):
-                    col = [ZERO] * tgt_dim
-                    if dY is not None and d + n + 1 in self.Y.terms:
-                        for lp, row in enumerate(dY):
-                            elem = row[l]
-                            if not elem:
-                                continue
-                            vp = self.Y.proj_terms[d + n + 1][lp]
-                            coords = _compose_table_left(a, elem, u, v, vp)[b_idx]
-                            if not coords:
-                                continue
-                            entry = up_index.get((k, lp))
-                            if entry is None:
-                                if any(x != 0 for x in coords):
-                                    raise InternalCheckError("boundary image at a vanished slot")
-                                continue
-                            base = tgt_offsets[d] + entry[0]
-                            for i, x in enumerate(coords):
-                                col[base + i] += x
-                    if dX is not None and d - 1 in self.X.terms:
-                        for kp, elem in enumerate(dX[k]):
-                            if not elem:
-                                continue
-                            up = self.X.proj_terms[d - 1][kp]
-                            coords = _compose_table_right(a, elem, up, u, v)[b_idx]
-                            if not coords:
-                                continue
-                            entry = dn_index.get((kp, l))
-                            if entry is None:
-                                if any(x != 0 for x in coords):
-                                    raise InternalCheckError("boundary image at a vanished slot")
-                                continue
-                            base = tgt_offsets[d - 1] + entry[0]
-                            for i, x in enumerate(coords):
-                                col[base + i] -= sign * x
-                    columns.append(col)
-        mat = tuple(tuple(columns[j][i] for j in range(len(columns)))
-                    for i in range(tgt_dim))
-        self._boundary[n] = mat
-        return mat
+                # the dY∘f part lands in degree d, the f∘dX part in degree
+                # d-1, each target summand in its own block: every row of a
+                # column is written at most once
+                cols: list[dict[int, int | Fraction]] = [{} for _ in space]
+                if dY is not None:
+                    y_next = Y.proj_terms[d + n + 1]
+                    for lp, row in enumerate(dY):
+                        if row[l]:
+                            _scatter(cols, _compose_table_left(a, row[l], u, v, y_next[lp]),
+                                     up_index.get((k, lp)), tgt_offsets.get(d, 0), 1)
+                if dX is not None:
+                    x_prev = X.proj_terms[d - 1]
+                    for kp, elem in enumerate(dX[k]):
+                        if elem:
+                            _scatter(cols, _compose_table_right(a, elem, x_prev[kp], u, v),
+                                     dn_index.get((kp, l)), tgt_offsets.get(d - 1, 0), sign)
+                columns.extend(cols)
+        self._columns[n] = columns
+        return columns
+
+    def boundary_matrix(self, n: int) -> Matrix:
+        """Dense view of ``boundary_columns(n)``: rows of level n+1 by
+        columns of level n, entries ``Fraction``."""
+        cols = self.boundary_columns(n)
+        return tuple(tuple(Fraction(col.get(i, 0)) for col in cols)
+                     for i in range(self.level_dim(n + 1)))
 
     def _target_offsets(self, n: int) -> dict[int, int]:
         offsets: dict[int, int] = {}
@@ -238,12 +252,22 @@ class HomPair:
             off += k
         return offsets
 
+    def _span(self, n: int) -> linalg.Echelon:
+        """Echelon form of the columns of boundary level n, built once."""
+        ech = self._spans.get(n)
+        if ech is None:
+            ech = linalg.Echelon()
+            for col in self.boundary_columns(n):
+                ech.add(col)
+            self._spans[n] = ech
+        return ech
+
     # -- the public quantities -------------------------------------------------
     def cycle_dim(self, n: int) -> int:
-        return self.level_dim(n) - linalg.rank(self.boundary_matrix(n))
+        return self.level_dim(n) - len(self._span(n))
 
     def image_dim_into(self, n: int) -> int:
-        return linalg.rank(self.boundary_matrix(n - 1))
+        return len(self._span(n - 1))
 
     def hom_dim(self, n: int = 0) -> int:
         lo, hi = self.window
@@ -259,8 +283,9 @@ class HomPair:
     def path_chain_maps(self, n: int = 0) -> list[PathMap]:
         """Basis of the maps X -> Y[n] commuting with differentials, each
         given by the path combinations of its components."""
-        vecs, _ = linalg.nullspace(self.boundary_matrix(n), n_cols=self.level_dim(n))
-        return [self._path_map(n, v) for v in vecs]
+        vecs, _ = linalg.kernel(self.boundary_columns(n))
+        return [self._path_map(n, [v.get(i, ZERO) for i in range(self.level_dim(n))])
+                for v in vecs]
 
     def _path_map(self, n: int, vec) -> PathMap:
         out: PathMap = {}
@@ -289,13 +314,11 @@ class HomPair:
 
     def is_null_homotopic(self, f: PathMap, n: int = 0) -> bool:
         """Whether the level-n map f is dY∘h + h∘dX for some degree -1
-        family h, decided on the coordinates of f; a component of f outside
-        the blocks of level n, or with a path outside its block's basis, is
-        a ``ValueError``."""
-        vec = self._path_coords(n, f)
-        if all(x == 0 for x in vec):
-            return True
-        return linalg.solve(self.boundary_matrix(n - 1), vec) is not None
+        family h, decided by membership of its coordinates in the span of
+        boundary level n-1; a component of f outside the blocks of level n,
+        or with a path outside its block's basis, is a ``ValueError``."""
+        vec = {i: x for i, x in enumerate(self._path_coords(n, f)) if x}
+        return not vec or self._span(n - 1).contains(vec)
 
 
 def graded_profile(X: RepComplex, Y: RepComplex) -> GradedHomProfile:

@@ -6,7 +6,9 @@ from them by composing dense matrices.  It needs no projective
 presentation and shares no code with the path-level engine in
 ``gentle.hom``, which the tests compare against it; ``dense_chain_map``
 turns the engine's path maps into the degreewise module morphisms this
-oracle works on.
+oracle works on.  Its linear algebra is the dense ``Fraction`` elimination
+below (``dense_rref`` and what is built on it), not the sparse integer
+core of ``gentle.linalg``, which the tests also check against it.
 """
 
 from __future__ import annotations
@@ -25,6 +27,77 @@ from gentle.presentation import GentleAlgebra
 # A chain map X -> Y[n] is a dict degree -> Morphism X^d -> Y^{d+n}.
 ChainMap = dict[int, Morphism]
 
+
+# --- dense Fraction elimination ------------------------------------------------
+
+def dense_rref(a: Matrix) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (rows, pivot column indices)."""
+    rows = [list(r) for r in a]
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        pivot = None
+        for i in range(r, m):
+            if rows[i][c] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][c]
+        if pv != 1:
+            rows[r] = [x / pv for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return rows, pivots
+
+
+def dense_rank(a: Matrix) -> int:
+    return len(dense_rref(a)[1])
+
+
+def dense_nullspace(a: Matrix, n_cols: int | None = None
+                    ) -> tuple[list[tuple[Fraction, ...]], list[int]]:
+    """Basis of the right kernel with the identity pattern on the free
+    columns, and the free columns."""
+    if n_cols is None:
+        n_cols = len(a[0]) if a else 0
+    rows, pivots = dense_rref(a)
+    pivot_set = set(pivots)
+    free = [c for c in range(n_cols) if c not in pivot_set]
+    basis = []
+    for f in free:
+        v = [ZERO] * n_cols
+        v[f] = ONE
+        for r, c in enumerate(pivots):
+            v[c] = -rows[r][f]
+        basis.append(tuple(v))
+    return basis, free
+
+
+def dense_solve(a: Matrix, b: tuple[Fraction, ...]) -> tuple[Fraction, ...] | None:
+    """The solution of a x = b that is 0 at the free columns, or None."""
+    m = len(a)
+    n = len(a[0]) if a else 0
+    aug = tuple(tuple(a[i]) + (b[i],) for i in range(m))
+    rows, pivots = dense_rref(aug)
+    if n in pivots:
+        return None
+    x = [ZERO] * n
+    for r, c in enumerate(pivots):
+        x[c] = rows[r][n]
+    return tuple(x)
+
+
+# --- module morphisms and chain maps ------------------------------------------
 
 def add_morphisms(f: Morphism, g: Morphism) -> Morphism:
     return {v: linalg.mat_add(f[v], g[v]) for v in f}
@@ -107,7 +180,7 @@ def hom_space(a: GentleAlgebra, src: Representation, tgt: Representation) -> Hom
                     if mt[i][k] != 0:
                         row[var(u, k, j)] -= mt[i][k]
                 rows.append(tuple(row))
-    basis_vecs, free_cols = linalg.nullspace(tuple(rows), n_cols=n_unknowns)
+    basis_vecs, free_cols = dense_nullspace(tuple(rows), n_cols=n_unknowns)
     basis = []
     for vec in basis_vecs:
         f: Morphism = {}
@@ -200,13 +273,13 @@ class RepHomPair:
         return mat
 
     def cycle_dim(self, n: int) -> int:
-        return self.level_dim(n) - linalg.rank(self.boundary_matrix(n))
+        return self.level_dim(n) - dense_rank(self.boundary_matrix(n))
 
     def hom_dim(self, n: int = 0) -> int:
         lo, hi = self.window
         if n < lo or n > hi:
             return 0
-        return self.cycle_dim(n) - linalg.rank(self.boundary_matrix(n - 1))
+        return self.cycle_dim(n) - dense_rank(self.boundary_matrix(n - 1))
 
     def profile(self) -> dict[int, int]:
         """The nonzero graded dimensions over the window."""
@@ -215,7 +288,7 @@ class RepHomPair:
         return {n: k for n, k in dims.items() if k}
 
     def chain_maps(self, n: int = 0) -> list[ChainMap]:
-        vecs, _ = linalg.nullspace(self.boundary_matrix(n), n_cols=self.level_dim(n))
+        vecs, _ = dense_nullspace(self.boundary_matrix(n), n_cols=self.level_dim(n))
         out = []
         for vec in vecs:
             f: ChainMap = {}
@@ -254,7 +327,7 @@ class RepHomPair:
             raise ValueError("not a level-n map of this pair")
         if all(x == 0 for x in vec):
             return True
-        return linalg.solve(self.boundary_matrix(n - 1), vec) is not None
+        return dense_solve(self.boundary_matrix(n - 1), vec) is not None
 
 
 def _compose_chain(a: GentleAlgebra, f: ChainMap, g: ChainMap) -> ChainMap:

@@ -125,6 +125,17 @@ def test_bad_word_is_domain_error():
     assert "zero or non-composable" in err
 
 
+@pytest.mark.parametrize("expr, message", [
+    ("zz@1", "error: unknown arrow 'zz'"),      # the word is bad, the shift is fine
+    ("a@1@2", "error: unknown arrow 'a@1'"),    # only the last '@' starts the shift
+    ("a@x", "error: bad shift suffix in 'a@x'"),
+])
+def test_bad_word_with_shift_suffix_reports_the_word(expr, message):
+    code, out, err = run_cli("hom", fx("pent"), "--from", expr, "--to", "a")
+    assert code == 1 and out == ""
+    assert err.strip() == message
+
+
 @pytest.mark.parametrize("args", [
     ("threads", fx("pent"), "--json"),
     ("cycles", fx("a3_relation"), "--json"),

@@ -3,19 +3,22 @@ isomorphism test and Serre duality at the oracle level."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
 import rep_oracle
 from conftest import fixture_text
+from duality import dual_complex, opposite
 from gentle import (HomPair, chain_map_dim, graded_profile, hom_k_dim,
                     homotopy_space_dim, iso_indecomposable, linalg,
                     nakayama_on_projectives, minimize, parse_word,
                     perfect_replacement, shift, trivial_string, unfold_band,
                     unfold_string)
 from gentle.complexes import _assemble_projective_complex
-from gentle.exceptional import mouth_objects, serre_image
+from gentle.exceptional import (_member_profile_of, default_search_bounds, enumerate_strings,
+                                mouth_objects, serre_image)
 from gentle.presentation import InternalCheckError, load_algebra
 from gentle.randomgen import random_gentle
 
@@ -344,3 +347,68 @@ def test_band_twist_is_suspension(algebras):
         for mu in (1, 2):
             E = unfold_band(a, parse_word(a, expr), 0, mu)
             assert iso_indecomposable(serre_image(a, E), shift(E, 1))
+
+
+def _count_rankings(monkeypatch):
+    """Record every echelon form the Hom engine builds and every boundary
+    level it asks for, as (pair, level)."""
+    built, asked = [], []
+
+    class Counting(linalg.Echelon):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    columns = HomPair.boundary_columns
+
+    def recording(self, n):
+        asked.append((self, n))
+        return columns(self, n)
+
+    monkeypatch.setattr(linalg, "Echelon", Counting)
+    monkeypatch.setattr(HomPair, "boundary_columns", recording)
+    return built, asked
+
+
+def test_profile_ranks_each_boundary_level_once(algebras, monkeypatch):
+    built, asked = _count_rankings(monkeypatch)
+    for name, expr in [("pent", "d, a^-1"), ("pent", "band: d^-1, e^-1, f^-1, c, b, a"),
+                       ("dual_numbers", "x, x, x"), ("kronecker", "a")]:
+        a = algebras[name]
+        w = parse_word(a, expr)
+        X = unfold_band(a, w, 0, 1) if expr.startswith("band") else unfold_string(a, w, 0)
+        pair = HomPair(X, X)
+        lo, hi = pair.window
+        before = len(built)
+        profile = pair.profile()
+        assert len(built) - before == hi - lo + 2        # levels lo-1 .. hi
+        assert [pair.hom_dim(n) for n in range(lo, hi + 1)] == [d for _, d in profile.dims]
+        assert len(built) - before == hi - lo + 2
+    assert len(built) == len({(id(pair), n) for pair, n in asked})
+
+
+def test_member_screen_ranks_no_level_twice(algebras, monkeypatch):
+    a = algebras["pent"]
+    words = enumerate_strings(a, default_search_bounds(a)[0])
+    built, asked = _count_rankings(monkeypatch)
+    members = [w for w in words if _member_profile_of(a, unfold_string(a, w, 0)) is not None]
+    assert members and len(asked) > len(words)
+    assert len(built) == len({(id(pair), n) for pair, n in asked})
+
+
+def test_hom_duality_with_the_opposite_algebra(acceptance_corpus):
+    # dim Hom_A(X, Y[i]) = dim Hom_{A^op}(DY, DX[i]) for every i, on string
+    # complexes; bands stay out until their scalar convention under D is pinned
+    rng = random.Random(1303)
+    ops, strings = {}, {}
+    nonzero = 0
+    for _ in range(300):
+        a = rng.choice(acceptance_corpus)
+        if id(a) not in ops:
+            ops[id(a)], strings[id(a)] = opposite(a), enumerate_strings(a, 3)
+        X, Y = (unfold_string(a, rng.choice(strings[id(a)]), 0) for _ in range(2))
+        lhs = graded_profile(X, Y).nonzero()
+        assert lhs == graded_profile(dual_complex(Y, ops[id(a)]),
+                                     dual_complex(X, ops[id(a)])).nonzero(), (a, X, Y)
+        nonzero += bool(lhs)
+    assert nonzero > 30
