@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .linalg import Matrix, ZERO, ONE
-from .presentation import GentleAlgebra, InternalCheckError, Path
+from .linalg import Matrix, Vector, ZERO, ONE
+from .presentation import Arrow, GentleAlgebra, InternalCheckError, Path
 from .words import HomotopyBand, HomotopyString, Word
 
 # An element of e_u A e_v: rational combination of parallel paths.
@@ -327,11 +327,8 @@ def zero_complex(a: GentleAlgebra) -> RepComplex:
     return RepComplex(a, {}, {}, proj_terms={}, proj_diffs={}, check=False)
 
 
-def _sum_of_projectives(a: GentleAlgebra, vs: tuple[str, ...]) -> Representation:
-    key = ("proj_sum", vs)
-    if key in a._cache:
-        return a._cache[key]
-    blocks = [projective(a, v) for v in vs]
+def _direct_sum(a: GentleAlgebra, blocks: list[Representation]) -> Representation:
+    """The direct sum of representations, with block-diagonal arrow matrices."""
     dims = {u: sum(b.dim(u) for b in blocks) for u in a.vertices}
     action: dict[str, Matrix] = {}
     for arr in a.arrows:
@@ -340,14 +337,18 @@ def _sum_of_projectives(a: GentleAlgebra, vs: tuple[str, ...]) -> Representation
         for b in blocks:
             m = b.act(arr.name)
             for i in range(b.dim(arr.target)):
-                for j in range(b.dim(arr.source)):
-                    rows[r0 + i][c0 + j] = m[i][j]
+                rows[r0 + i][c0:c0 + b.dim(arr.source)] = m[i]
             r0 += b.dim(arr.target)
             c0 += b.dim(arr.source)
         action[arr.name] = tuple(tuple(r) for r in rows)
-    rep = make_representation(a, dims, action)
-    a._cache[key] = rep
-    return rep
+    return make_representation(a, dims, action)
+
+
+def _sum_of_projectives(a: GentleAlgebra, vs: tuple[str, ...]) -> Representation:
+    key = ("proj_sum", vs)
+    if key not in a._cache:
+        a._cache[key] = _direct_sum(a, [projective(a, v) for v in vs])
+    return a._cache[key]
 
 
 def _block_morphism(a: GentleAlgebra, srcs: list[Representation],
@@ -510,26 +511,9 @@ def nakayama_on_projectives(c: RepComplex) -> RepComplex:
     if c.proj_terms is None:
         raise ValueError("complex does not carry a projective presentation")
     a = c.a
-    terms: dict[int, Representation] = {}
     inj_cache = {v: injective(a, v) for v in a.vertices}
-    for d, vs in c.proj_terms.items():
-        if not vs:
-            continue
-        blocks = [inj_cache[v] for v in vs]
-        dims = {u: sum(b.dim(u) for b in blocks) for u in a.vertices}
-        action: dict[str, Matrix] = {}
-        for arr in a.arrows:
-            rows = [[ZERO] * dims[arr.source] for _ in range(dims[arr.target])]
-            r0 = c0 = 0
-            for b in blocks:
-                mm = b.act(arr.name)
-                for i in range(b.dim(arr.target)):
-                    for j in range(b.dim(arr.source)):
-                        rows[r0 + i][c0 + j] = mm[i][j]
-                r0 += b.dim(arr.target)
-                c0 += b.dim(arr.source)
-            action[arr.name] = tuple(tuple(r) for r in rows)
-        terms[d] = make_representation(a, dims, action)
+    terms = {d: _direct_sum(a, [inj_cache[v] for v in vs])
+             for d, vs in c.proj_terms.items() if vs}
     diffs: dict[int, Morphism] = {}
     for d, rows in (c.proj_diffs or {}).items():
         src_vs, tgt_vs = c.proj_terms[d], c.proj_terms[d + 1]
@@ -542,132 +526,56 @@ def nakayama_on_projectives(c: RepComplex) -> RepComplex:
 
 # --- projective replacement ---------------------------------------------------
 
-@dataclass
-class _Submodule:
-    rep: Representation
-    basis: dict[str, list[tuple[Fraction, ...]]]   # echelon vectors in the ambient
-    pivots: dict[str, list[int]]
+def _pair_act(C: Representation, P: Representation, arrow: Arrow, vec: Vector) -> Vector:
+    """An arrow acting on a vector (c, p) of C ⊕ P, part by part."""
+    n = C.dim(arrow.source)
+    return (linalg.mat_vec(C.act(arrow.name), vec[:n])
+            + linalg.mat_vec(P.act(arrow.name), vec[n:]))
 
 
-def _echelon_coords(basis: list[tuple[Fraction, ...]], pivots: list[int],
-                    vec) -> tuple[Fraction, ...] | None:
-    """Coordinates in a reduced echelon basis: read the pivot entries, then
-    confirm the vector is reproduced."""
-    coords = tuple(vec[p] for p in pivots)
-    rebuilt = [ZERO] * len(vec)
-    for c, row in zip(coords, basis):
-        if c:
-            for i, y in enumerate(row):
-                if y:
-                    rebuilt[i] += c * y
-    return coords if tuple(rebuilt) == tuple(vec) else None
+def _top_generators(a: GentleAlgebra, C: Representation, P: Representation,
+                    W: dict[str, list[Vector]]) -> list[tuple[str, Vector]]:
+    """Generators of the submodule W of C ⊕ P, one per dimension of its top.
 
-
-def _submodule(a: GentleAlgebra, ambient: Representation,
-               vectors: dict[str, list[tuple[Fraction, ...]]]) -> _Submodule:
-    """The submodule spanned vertexwise by given action-closed vectors."""
-    basis: dict[str, list[tuple[Fraction, ...]]] = {}
-    pivots: dict[str, list[int]] = {}
-    for v in a.vertices:
-        if not vectors.get(v):
-            basis[v], pivots[v] = [], []
-            continue
-        rows, piv = linalg.rref(tuple(vectors[v]))
-        basis[v] = [tuple(rows[i]) for i in range(len(piv))]
-        pivots[v] = list(piv)
-    dims = {v: len(basis[v]) for v in a.vertices}
-    action: dict[str, Matrix] = {}
-    for arr in a.arrows:
-        src, tgt = basis[arr.source], basis[arr.target]
-        act = ambient.act(arr.name)
-        cols = []
-        for b in src:
-            coords = _echelon_coords(tgt, pivots[arr.target], linalg.mat_vec(act, b))
-            if coords is None:
-                raise InternalCheckError("submodule vectors are not action-closed")
-            cols.append(coords)
-        action[arr.name] = tuple(tuple(cols[j][i] for j in range(len(src)))
-                                 for i in range(len(tgt)))
-    return _Submodule(make_representation(a, dims, action), basis, pivots)
-
-
-def _top_generators(a: GentleAlgebra, rep: Representation) -> list[tuple[str, tuple[Fraction, ...]]]:
-    """Vectors generating rep: unit vectors at coordinates free of the radical."""
+    ``W[v]`` is a basis of W at v.  At each vertex the arrow images of W
+    into v span the radical there; the basis vectors of ``W[v]`` that the
+    echelon form stores after them complete a basis of W at v modulo its
+    radical.  The echelon spans exactly ``W[v]`` only when W is closed
+    under the arrows, which is checked.
+    """
     gens = []
     for v in a.vertices:
-        n = rep.dim(v)
-        if n == 0:
-            continue
-        rad_rows = []
+        ech = linalg.Echelon()
         for arr in a.in_arrows[v]:
-            m = rep.act(arr.name)
-            for j in range(rep.dim(arr.source)):
-                rad_rows.append(tuple(m[i][j] for i in range(n)))
-        pivots: list[int] = []
-        if rad_rows:
-            _, pivots = linalg.rref(tuple(rad_rows))
-        pivot_set = set(pivots)
-        for i in range(n):
-            if i not in pivot_set:
-                gens.append((v, tuple(ONE if k == i else ZERO for k in range(n))))
+            for vec in W[arr.source]:
+                ech.add({i: x for i, x in enumerate(_pair_act(C, P, arr, vec)) if x})
+        for vec in W[v]:
+            if ech.add({i: x for i, x in enumerate(vec) if x}) is None:
+                gens.append((v, vec))
+        if len(ech) != len(W[v]):
+            raise InternalCheckError("submodule vectors are not action-closed")
     return gens
 
 
-def _lift(sub: _Submodule, v: str, coords) -> tuple[Fraction, ...]:
-    basis = sub.basis[v]
-    if not basis:
-        return ()
-    out = [ZERO] * len(basis[0])
-    for c, b in zip(coords, basis):
-        if c:
-            for i, x in enumerate(b):
-                out[i] += c * x
-    return tuple(out)
-
-
-def _path_action(a: GentleAlgebra, rep: Representation, q: Path,
-                 vec: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    cur = vec
-    for arrow in q.arrows:
-        cur = linalg.mat_vec(rep.act(arrow), cur)
-    return cur
-
-
-def _cols_to_matrix(cols: list[tuple[Fraction, ...]], n_rows: int) -> Matrix:
+def _cols_to_matrix(cols: list[Vector], n_rows: int) -> Matrix:
     return tuple(tuple(col[i] for col in cols) for i in range(n_rows))
-
-
-def _pair_ambient(a: GentleAlgebra, C_d: Representation, P_next: Representation | None,
-                  ) -> Representation:
-    action: dict[str, Matrix] = {}
-    dims = {u: C_d.dim(u) + (P_next.dim(u) if P_next else 0) for u in a.vertices}
-    for arr in a.arrows:
-        rows = [[ZERO] * dims[arr.source] for _ in range(dims[arr.target])]
-        m = C_d.act(arr.name)
-        for i in range(C_d.dim(arr.target)):
-            for j in range(C_d.dim(arr.source)):
-                rows[i][j] = m[i][j]
-        if P_next is not None:
-            m2 = P_next.act(arr.name)
-            r0, c0 = C_d.dim(arr.target), C_d.dim(arr.source)
-            for i in range(P_next.dim(arr.target)):
-                for j in range(P_next.dim(arr.source)):
-                    rows[r0 + i][c0 + j] = m2[i][j]
-        action[arr.name] = tuple(tuple(r) for r in rows)
-    return make_representation(a, dims, action)
 
 
 def perfect_replacement(c: RepComplex, max_steps: int | None = None) -> RepComplex:
     """A bounded complex of projectives quasi-isomorphic to ``c``.
 
-    Built from the top degree down.  At each degree the module of pairs
-    (chain element, already-built element) compatible under the comparison
-    and differential maps is covered by projectives; this makes the
-    comparison a quasi-isomorphism degree by degree.  Below the support the
-    loop runs a minimal projective resolution of the remaining syzygy
-    module, which terminates exactly when the input is quasi-isomorphic to
-    a bounded complex of projectives; ``max_steps`` guards the loop.
-    Cohomology preservation is checked on the result.
+    Built from the top degree down, with P^d -> C^d and P^d -> P^{d+1}
+    read off the generators' images.  At each degree d the pairs
+    W = {(c, p) in C^d ⊕ P^{d+1} : d_C c = ε p, d_P p = 0} form a submodule,
+    and P^d is its projective cover: one P(v) per top generator at v
+    (``_top_generators``), mapped onto W by the generator.  A surjection onto
+    W makes the comparison a quasi-isomorphism degree by degree; a
+    projective cover adds no contractible summand, so a minimal input comes
+    back with its own summands.  Below the support the loop runs a minimal
+    projective resolution of the remaining syzygy module, which terminates
+    exactly when the input is quasi-isomorphic to a bounded complex of
+    projectives; ``max_steps`` guards the loop.  Cohomology preservation is
+    checked on the result.
     """
     a = c.a
     sup = c.support()
@@ -678,6 +586,7 @@ def perfect_replacement(c: RepComplex, max_steps: int | None = None) -> RepCompl
         total = sum(t.total_dim for t in c.terms.values())
         max_steps = total + sum(projective(a, v).total_dim for v in a.vertices) + 16
 
+    zero = _sum_of_projectives(a, ())
     proj_terms: dict[int, tuple[str, ...]] = {}
     proj_sums: dict[int, Representation] = {}
     eps: dict[int, Morphism] = {}     # P^d -> C^d
@@ -691,41 +600,38 @@ def perfect_replacement(c: RepComplex, max_steps: int | None = None) -> RepCompl
             raise InternalCheckError("projective replacement did not terminate; "
                                      "input is not equivalent to a bounded complex "
                                      "of projectives")
-        C_d = c.term(d)
-        P_next = proj_sums.get(d + 1)
-        P_next_dim = {u: (P_next.dim(u) if P_next else 0) for u in a.vertices}
-        C_up = c.term(d + 1)
-        vectors: dict[str, list[tuple[Fraction, ...]]] = {}
+        C_d = c.terms.get(d, zero)
+        P_next = proj_sums.get(d + 1, zero)
+        C_up = c.terms.get(d + 1, zero)
+        W: dict[str, list[Vector]] = {}
         for u in a.vertices:
-            n_amb = C_d.dim(u) + P_next_dim[u]
             rows = []
-            dC = c.diff(d)[u] if d in c.diffs else linalg.zeros(C_up.dim(u), C_d.dim(u))
-            e_mat = eps[d + 1][u] if d + 1 in eps else linalg.zeros(C_up.dim(u), P_next_dim[u])
+            dC = c.diffs[d][u] if d in c.diffs else linalg.zeros(C_up.dim(u), C_d.dim(u))
+            e_mat = eps[d + 1][u] if d + 1 in eps else linalg.zeros(C_up.dim(u), P_next.dim(u))
             for i in range(C_up.dim(u)):
                 rows.append(tuple(dC[i]) + tuple(-x for x in e_mat[i]))
             if d + 1 in dP:
                 for row in dP[d + 1][u]:
                     rows.append((ZERO,) * C_d.dim(u) + tuple(row))
-            basis_vecs, _ = linalg.nullspace(tuple(rows), n_cols=n_amb)
-            vectors[u] = [tuple(v) for v in basis_vecs]
-        amb = _pair_ambient(a, C_d, P_next)
-        W = _submodule(a, amb, vectors)
-        if W.rep.total_dim == 0 and d < lo:
+            W[u], _ = linalg.nullspace(tuple(rows), n_cols=C_d.dim(u) + P_next.dim(u))
+        if d < lo and not any(W.values()):
             break
-        gens = _top_generators(a, W.rep)
+        gens = _top_generators(a, C_d, P_next, W)
         summands = tuple(v for v, _ in gens)
-        eps_cols: dict[str, list[tuple[Fraction, ...]]] = {u: [] for u in a.vertices}
-        dp_cols: dict[str, list[tuple[Fraction, ...]]] = {u: [] for u in a.vertices}
-        for v, coords in gens:
-            amb_gen = _lift(W, v, coords)
+        eps_cols: dict[str, list[Vector]] = {u: [] for u in a.vertices}
+        dp_cols: dict[str, list[Vector]] = {u: [] for u in a.vertices}
+        for v, gen in gens:
             for q in projective_basis(a, v):
-                img = _path_action(a, amb, q, amb_gen)
-                eps_cols[q.target].append(tuple(img[: C_d.dim(q.target)]))
-                dp_cols[q.target].append(tuple(img[C_d.dim(q.target):]))
+                img = gen
+                for name in q.arrows:
+                    img = _pair_act(C_d, P_next, a.arrow_map[name], img)
+                n = C_d.dim(q.target)
+                eps_cols[q.target].append(img[:n])
+                dp_cols[q.target].append(img[n:])
         proj_terms[d] = summands
         proj_sums[d] = _sum_of_projectives(a, summands)
         eps[d] = {u: _cols_to_matrix(eps_cols[u], C_d.dim(u)) for u in a.vertices}
-        dP[d] = {u: _cols_to_matrix(dp_cols[u], P_next_dim[u]) for u in a.vertices}
+        dP[d] = {u: _cols_to_matrix(dp_cols[u], P_next.dim(u)) for u in a.vertices}
         d -= 1
 
     out = _assemble_projective_complex(

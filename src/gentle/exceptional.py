@@ -27,7 +27,8 @@ from .hom import GradedHomProfile, HomPair, graded_profile, iso_indecomposable
 from .presentation import GentleAlgebra, InternalCheckError
 from .threads import Thread, ThreadTables, aag_cycles, enumerate_threads
 from .words import (HomotopyBand, HomotopyLetter, HomotopyString, Word,
-                    canonical_string, thread_string, trivial_string, word_key)
+                    canonical_string, may_follow, thread_string, trivial_string,
+                    word_key)
 
 
 @dataclass(frozen=True)
@@ -456,13 +457,6 @@ def _iter_strings(a: GentleAlgebra, max_letters: int):
     for l in letters:
         by_start.setdefault(l.start, []).append(l)
 
-    def may_follow(prev: HomotopyLetter, nxt: HomotopyLetter) -> bool:
-        if prev.end != nxt.start:
-            return False
-        if prev.direct == nxt.direct:
-            return prev.e_sign(a) == nxt.s_sign(a)
-        return prev.e_sign(a) == -nxt.s_sign(a)
-
     seen: set = set()
     for v in a.vertices:
         w = trivial_string(a, v)
@@ -481,7 +475,7 @@ def _iter_strings(a: GentleAlgebra, max_letters: int):
         if len(word) < max_letters:
             last = word[-1]
             for nxt in by_start.get(last.end, ()):
-                if may_follow(last, nxt):
+                if may_follow(a, last, nxt):
                     stack.append(word + (nxt,))
 
 

@@ -14,17 +14,19 @@ kernel vectors and solutions are read off such relations as ``Fraction``s.
 Nothing here uses floats or modular arithmetic (a rank mod p is only a
 lower bound over Q), and no division of two ints is ever taken with ``/``.
 
-The Hom complex of ``gentle.hom`` feeds its sparse integer columns to the
-core directly.  The dense entry points ``rank``, ``nullspace``, ``solve``
-and ``rref`` take row-major matrices (tuples of rows of ``Fraction``) and
-serve the module matrices of projective replacement, submodules and
-cohomology through the same core; they clear denominators row by row,
-which keeps the row space and the kernel.  Replaying every module-matrix
-call of one pass of each benchmark workload (mostly matrices of at most
-2 x 2; CPython 3.11 on a 2-core host) took 7% less time on the core than
-on the dense ``Fraction`` elimination it replaced: 16% less for
-``nullspace``, the same for ``rank``, up to 10% more for ``rref``.  That
-dense elimination is kept as the test oracle.  The remaining helpers are
+The Hom complex of ``gentle.hom`` and the cover generators of projective
+replacement feed sparse vectors to the core directly.  The dense entry
+points ``rank``, ``nullspace``, ``solve`` and ``rref`` take row-major
+matrices (tuples of rows of ``Fraction``) and serve the module matrices of
+projective replacement and cohomology through the same core; they clear
+denominators row by row, which keeps the row space and the kernel.
+Replaying every module-matrix call of one pass of each benchmark workload
+(mostly matrices of at most 2 x 2; CPython 3.11 on a 2-core host) took 7%
+less time on the core than on the dense ``Fraction`` elimination it
+replaced: 16% less for ``nullspace``, the same for ``rank``.  That dense
+elimination is kept as the test oracle.  ``solve`` and ``rref`` have no
+caller in the package; they stay as tested public entry points, and the
+benchmark's layer tracer (``bench/tracer.py``) lists both by name.  The remaining helpers are
 the dense matrix arithmetic of representations and their morphisms.
 """
 

@@ -52,19 +52,28 @@ class HomotopyLetter:
         return self.render()
 
 
+def may_follow(a: GentleAlgebra, prev: HomotopyLetter, nxt: HomotopyLetter) -> bool:
+    """Whether ``nxt`` may follow ``prev``: they meet at a vertex, with equal
+    boundary signs there for letters of the same direction and opposite
+    signs for mixed directions."""
+    if prev.end != nxt.start:
+        return False
+    if prev.direct == nxt.direct:
+        return prev.e_sign(a) == nxt.s_sign(a)
+    return prev.e_sign(a) == -nxt.s_sign(a)
+
+
 def _check_pair(a: GentleAlgebra, prev: HomotopyLetter, nxt: HomotopyLetter) -> str | None:
     """Why ``nxt`` may not follow ``prev``; None when composable."""
+    if may_follow(a, prev, nxt):
+        return None
     if prev.end != nxt.start:
         return f"endpoint mismatch: {prev.render()} ends at {prev.end}, {nxt.render()} starts at {nxt.start}"
     if prev.direct == nxt.direct:
-        if prev.e_sign(a) != nxt.s_sign(a):
-            return (f"same-direction letters {nxt.render()}·{prev.render()} need equal "
-                    f"boundary signs, got {prev.e_sign(a)} then {nxt.s_sign(a)}")
-    else:
-        if prev.e_sign(a) != -nxt.s_sign(a):
-            return (f"mixed-direction letters {nxt.render()}·{prev.render()} need opposite "
-                    f"boundary signs, got {prev.e_sign(a)} then {nxt.s_sign(a)}")
-    return None
+        return (f"same-direction letters {nxt.render()}·{prev.render()} need equal "
+                f"boundary signs, got {prev.e_sign(a)} then {nxt.s_sign(a)}")
+    return (f"mixed-direction letters {nxt.render()}·{prev.render()} need opposite "
+            f"boundary signs, got {prev.e_sign(a)} then {nxt.s_sign(a)}")
 
 
 @dataclass(frozen=True)

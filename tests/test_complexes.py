@@ -12,8 +12,9 @@ from gentle import (cohomology_dims, injective, iso_indecomposable, minimize,
                     projective, shift, simple, trivial_string, unfold_band,
                     unfold_string)
 from gentle.complexes import (RepComplex, _assemble_projective_complex,
-                              right_multiplication)
-from gentle.linalg import mat_eq
+                              _sum_of_projectives, _top_generators, right_multiplication)
+from gentle.exceptional import _summand_signature, enumerate_strings
+from gentle.linalg import ONE, mat_eq
 from gentle.presentation import InternalCheckError
 
 
@@ -177,6 +178,43 @@ def test_replacement_preserves_cohomology(algebras):
             N = nakayama_on_projectives(X)
             R = perfect_replacement(N)
             assert cohomology_dims(R) == cohomology_dims(N)
+
+
+def test_replacement_of_a_minimal_complex_keeps_its_summands(algebras, acceptance_corpus):
+    # the cover of each degree is a projective cover, so a minimal complex of
+    # projectives comes back with its own summands, without minimizing
+    cases = [unfold_string(a, w, 0)
+             for a in acceptance_corpus[:20] for w in enumerate_strings(a, 2)]
+    k = algebras["kronecker"]
+    cases.append(unfold_band(k, parse_word(k, "band: b^-1, a"), 0, 2))
+    assert len(cases) == 953
+    for X in cases:
+        assert _summand_signature(perfect_replacement(X)) == _summand_signature(X), X
+
+
+def test_top_generators_of_a_projective_and_a_non_closed_submodule(algebras):
+    a = algebras["a2"]                  # a: 1 -> 2
+    P1, zero = projective(a, "1"), _sum_of_projectives(a, ())
+    assert _top_generators(a, P1, zero, {"1": [(ONE,)], "2": [(ONE,)]}) == [("1", (ONE,))]
+    # the top of P(1) alone is not closed: its image under a lies outside
+    with pytest.raises(InternalCheckError, match="action-closed"):
+        _top_generators(a, P1, zero, {"1": [(ONE,)], "2": []})
+
+
+def test_replacement_of_a_non_perfect_complex_stops(algebras):
+    # the simple over the dual numbers has an infinite projective resolution
+    a = algebras["dual_numbers"]
+    with pytest.raises(InternalCheckError, match="did not terminate"):
+        perfect_replacement(RepComplex(a, {0: simple(a, "1")}, {}))
+
+
+def test_replacement_checks_cohomology(algebras, monkeypatch):
+    # a cover by no projectives at all loses the cohomology of the input
+    import gentle.complexes
+    monkeypatch.setattr(gentle.complexes, "_top_generators", lambda *args: [])
+    a = algebras["a2"]
+    with pytest.raises(InternalCheckError, match="changed cohomology"):
+        perfect_replacement(unfold_string(a, parse_word(a, "a"), 0))
 
 
 def test_unfold_string_and_inverse_isomorphic(algebras):
