@@ -19,11 +19,12 @@ from .threads import (Thread, ThreadTables, ThreadCycle, aag_cycles,
 from .words import (HomotopyBand, HomotopyLetter, HomotopyString, WordError,
                     canonical_band, canonical_string, make_band, make_string,
                     parse_word, thread_string, trivial_string, word_key)
-from .complexes import (RepComplex, Representation, cohomology_dims, injective,
-                        minimize, nakayama_on_projectives, perfect_replacement,
-                        projective, shift, simple, unfold_band, unfold_string)
+from .complexes import (ModuleComplex, RepComplex, Representation, cohomology_dims,
+                        injective, minimize, nakayama_on_projectives,
+                        perfect_replacement, projective, shift, unfold_band,
+                        unfold_string)
 from .hom import (GradedHomProfile, HomPair, chain_map_dim, graded_profile,
-                  hom_k_dim, homotopy_space_dim, iso_indecomposable)
+                  iso_indecomposable)
 from .alp import CombMap, alp_basis, comb_map_to_path_map, double_maps, graph_maps, single_maps
 from .exceptional import (ExceptionalCycle, MouthObject, SerreOrbit,
                           ag_invariants, brute_force_search, check_band_spherical,

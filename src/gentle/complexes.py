@@ -1,14 +1,18 @@
 """Quiver representations and bounded complexes of projectives.
 
-Complexes carry two synchronized layers:
+A complex of projectives (``RepComplex``) is its projective presentation:
+each term a sum of indecomposable projectives P(v), each differential
+entry a rational combination of paths acting by right multiplication.
+The Hom engine, Gaussian minimization, the search and the classifier read
+only the presentation.  The vertexwise matrices of the differentials are
+derived from it on first use, once per complex, for the readers that need
+them: cohomology dimensions (``cohomology_dims``) and the wire form
+(``complex_json``); term dimensions are path counts.
 
-* a representation layer (dimension vectors and arrow matrices per term,
-  vertexwise matrices for the differentials) used by the exact linear
-  algebra engine, and
-* an optional projective layer (each term a sum of indecomposable
-  projectives, differential entries written as rational combinations of
-  paths) used by the combinatorial map enumeration, the termwise injective
-  replacement, and Gaussian minimization.
+The Nakayama twist of a complex of projectives is a complex of injectives.
+It is the one module complex (``ModuleComplex``): explicit representations
+as terms and vertexwise matrices as differentials, checked densely, and
+the input of projective replacement.
 
 Words unfold into complexes along their positions: a direct letter q gives
 a component from the projective at its end vertex to the one at its start
@@ -85,23 +89,6 @@ def make_representation(a: GentleAlgebra, dims: dict[str, int],
 Morphism = dict[str, Matrix]
 
 
-def zero_morphism(a: GentleAlgebra, src: Representation, tgt: Representation) -> Morphism:
-    return {v: linalg.zeros(tgt.dim(v), src.dim(v)) for v in a.vertices}
-
-
-def morphism_is_zero(f: Morphism) -> bool:
-    return all(linalg.is_zero_matrix(m) for m in f.values())
-
-
-def compose_morphisms(a: GentleAlgebra, f: Morphism, g: Morphism) -> Morphism:
-    """g∘f, vertexwise."""
-    return {v: linalg.mat_mul(g[v], f[v]) for v in a.vertices}
-
-
-def scale_morphism(c, f: Morphism) -> Morphism:
-    return {v: linalg.mat_scale(c, m) for v, m in f.items()}
-
-
 def check_morphism(a: GentleAlgebra, src: Representation, tgt: Representation,
                    f: Morphism) -> bool:
     return all(linalg.mat_eq(linalg.mat_mul(f[arr.target], src.act(arr.name)),
@@ -165,10 +152,6 @@ def injective(a: GentleAlgebra, v: str) -> Representation:
     rep = make_representation(a, dims, action)
     a._cache[key] = rep
     return rep
-
-
-def simple(a: GentleAlgebra, v: str) -> Representation:
-    return make_representation(a, {u: (1 if u == v else 0) for u in a.vertices}, {})
 
 
 def right_multiplication(a: GentleAlgebra, elem: AlgElem, src_vertex: str,
@@ -262,69 +245,104 @@ class WordShape:
 
 
 class RepComplex:
-    """A bounded cochain complex of representations.
+    """A bounded complex of projectives, given by its projective presentation.
 
-    With ``check`` the differentials are validated densely (module
-    morphisms, d∘d = 0); complexes built from a projective presentation are
-    validated on the presentation instead, by ``_assemble_projective_complex``.
+    ``proj_terms[d]`` lists the vertices v of the summands P(v) in degree d,
+    and ``proj_diffs[d][i][j]`` is the path combination of the component
+    from summand j of degree d to summand i of degree d + 1.  Empty terms,
+    and differentials at them, are dropped.  The constructor checks
+    nothing; ``_assemble_projective_complex`` checks d∘d on the
+    presentation.  ``shape`` records the unfolded word of a string or band
+    complex.
+    """
+
+    def __init__(self, a: GentleAlgebra, proj_terms: dict[int, tuple[str, ...]],
+                 proj_diffs: dict[int, tuple[tuple[AlgElem, ...], ...]],
+                 shape: WordShape | None = None):
+        self.a = a
+        self.proj_terms = {d: vs for d, vs in proj_terms.items() if vs}
+        self.proj_diffs = {d: rows for d, rows in proj_diffs.items()
+                           if d in self.proj_terms and d + 1 in self.proj_terms}
+        self.shape = shape
+        self._support = ((min(self.proj_terms), max(self.proj_terms))
+                         if self.proj_terms else None)
+        self._vertex_diffs: dict[int, Morphism] | None = None
+
+    def support(self) -> tuple[int, int] | None:
+        return self._support
+
+    def is_zero(self) -> bool:
+        return self._support is None
+
+    def term_dim(self, d: int, u: str) -> int:
+        """Dimension of the degree-d term at vertex u: the paths from the
+        summands' vertices that end at u."""
+        return sum(q.target == u for v in self.proj_terms.get(d, ())
+                   for q in projective_basis(self.a, v))
+
+    def vertex_diffs(self) -> dict[int, Morphism]:
+        """The vertexwise matrices of the differentials, built on first use.
+
+        Each summand P(v) has its paths as basis, in path-basis order, and
+        each block is the right multiplication by its entry.
+        """
+        if self._vertex_diffs is None:
+            a, terms = self.a, self.proj_terms
+            self._vertex_diffs = {
+                d: _block_morphism(a, [[right_multiplication(a, e, v, u)
+                                        for v, e in zip(terms[d], row)]
+                                       for u, row in zip(terms[d + 1], rows)])
+                for d, rows in self.proj_diffs.items()}
+        return self._vertex_diffs
+
+    def __repr__(self):
+        if self._support is None:
+            return "RepComplex(0)"
+        lo, hi = self._support
+        return "RepComplex(" + "  ".join(
+            f"{d}:[{'+'.join('P' + v for v in self.proj_terms.get(d, ()))}]"
+            for d in range(lo, hi + 1)) + ")"
+
+
+class ModuleComplex:
+    """A bounded complex of modules: a representation per degree and the
+    vertexwise matrices of the differentials.
+
+    The differentials are checked densely on construction: module
+    morphisms, d∘d = 0.  The Nakayama twist of a complex of projectives is
+    one, and projective replacement takes one.
     """
 
     def __init__(self, a: GentleAlgebra, terms: dict[int, Representation],
-                 diffs: dict[int, Morphism],
-                 proj_terms: dict[int, tuple[str, ...]] | None = None,
-                 proj_diffs: dict[int, tuple[tuple[AlgElem, ...], ...]] | None = None,
-                 shape: WordShape | None = None, check: bool = True):
+                 diffs: dict[int, Morphism]):
         self.a = a
         self.terms = {d: t for d, t in terms.items() if t.total_dim > 0}
         self.diffs = {d: f for d, f in diffs.items()
                       if d in self.terms and d + 1 in self.terms}
-        self.proj_terms = proj_terms
-        self.proj_diffs = proj_diffs
-        self.shape = shape
-        if check:
-            self._check()
+        self._support = (min(self.terms), max(self.terms)) if self.terms else None
+        self._check()
 
     def support(self) -> tuple[int, int] | None:
-        if not self.terms:
-            return None
-        return (min(self.terms), max(self.terms))
+        return self._support
 
-    def term(self, d: int) -> Representation:
-        if d in self.terms:
-            return self.terms[d]
-        return make_representation(self.a, {}, {})
+    def term_dim(self, d: int, u: str) -> int:
+        return self.terms[d].dim(u) if d in self.terms else 0
 
-    def diff(self, d: int) -> Morphism:
-        if d in self.diffs:
-            return self.diffs[d]
-        return zero_morphism(self.a, self.term(d), self.term(d + 1))
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    def vertex_diffs(self) -> dict[int, Morphism]:
+        return self.diffs
 
     def _check(self) -> None:
         for d, f in self.diffs.items():
             if not check_morphism(self.a, self.terms[d], self.terms[d + 1], f):
                 raise InternalCheckError(f"differential at degree {d} is not a morphism")
-            if d + 1 in self.diffs:
-                if not morphism_is_zero(compose_morphisms(self.a, f, self.diffs[d + 1])):
-                    raise InternalCheckError(f"d∘d != 0 between degrees {d} and {d + 2}")
-
-    def __repr__(self):
-        sup = self.support()
-        if sup is None:
-            return "RepComplex(0)"
-        parts = []
-        for d in range(sup[0], sup[1] + 1):
-            if self.proj_terms is not None:
-                parts.append(f"{d}:[{'+'.join('P' + v for v in self.proj_terms.get(d, ()))}]")
-            else:
-                parts.append(f"{d}:{self.term(d).total_dim}")
-        return "RepComplex(" + "  ".join(parts) + ")"
+            g = self.diffs.get(d + 1)
+            if g is not None and not all(linalg.is_zero_matrix(linalg.mat_mul(g[u], f[u]))
+                                         for u in self.a.vertices):
+                raise InternalCheckError(f"d∘d != 0 between degrees {d} and {d + 2}")
 
 
 def zero_complex(a: GentleAlgebra) -> RepComplex:
-    return RepComplex(a, {}, {}, proj_terms={}, proj_diffs={}, check=False)
+    return RepComplex(a, {}, {})
 
 
 def _direct_sum(a: GentleAlgebra, blocks: list[Representation]) -> Representation:
@@ -351,49 +369,29 @@ def _sum_of_projectives(a: GentleAlgebra, vs: tuple[str, ...]) -> Representation
     return a._cache[key]
 
 
-def _block_morphism(a: GentleAlgebra, srcs: list[Representation],
-                    tgts: list[Representation],
-                    blocks: list[list[Morphism]]) -> Morphism:
-    out: Morphism = {}
-    for u in a.vertices:
-        n_cols = sum(s.dim(u) for s in srcs)
-        rows: list[tuple[Fraction, ...]] = []
-        for i, t in enumerate(tgts):
-            for r in range(t.dim(u)):
-                row: list[Fraction] = []
-                for j in range(len(srcs)):
-                    row.extend(blocks[i][j][u][r])
-                rows.append(tuple(row))
-        out[u] = tuple(rows) if rows else linalg.zeros(0, n_cols)
-    return out
+def _block_morphism(a: GentleAlgebra, blocks: list[list[Morphism]]) -> Morphism:
+    """The vertexwise matrices of a map between nonzero direct sums:
+    ``blocks[i][j]`` maps summand j of the source to summand i of the
+    target."""
+    return {u: tuple(tuple(x for f in row for x in f[u][r])
+                     for row in blocks for r in range(len(row[0][u])))
+            for u in a.vertices}
 
 
 def _assemble_projective_complex(a: GentleAlgebra,
                                  proj_terms: dict[int, tuple[str, ...]],
                                  proj_diffs: dict[int, tuple[tuple[AlgElem, ...], ...]],
                                  shape: WordShape | None = None) -> RepComplex:
-    """Materialize the representation layer of a projective presentation.
+    """The complex of a projective presentation, with d∘d = 0 checked.
 
-    d∘d = 0 is checked on the presentation: the composite of two
-    differentials is right multiplication by the products of their entries,
-    and right multiplication is faithful (x·e = 0 for all x forces e = 0),
-    so the composite vanishes exactly when every product entry does.
+    The composite of two differentials is right multiplication by the
+    products of their entries, and right multiplication is faithful
+    (x·e = 0 for all x forces e = 0), so the composite vanishes exactly
+    when every product entry does.
     """
-    proj_terms = {d: vs for d, vs in proj_terms.items() if vs}
-    terms = {d: _sum_of_projectives(a, vs) for d, vs in proj_terms.items()}
-    diffs: dict[int, Morphism] = {}
-    for d, entries in proj_diffs.items():
-        if d not in proj_terms or d + 1 not in proj_terms:
-            continue
-        src_vs, tgt_vs = proj_terms[d], proj_terms[d + 1]
-        blocks = [[right_multiplication(a, entries[i][j], src_vs[j], tgt_vs[i])
-                   for j in range(len(src_vs))] for i in range(len(tgt_vs))]
-        diffs[d] = _block_morphism(a, [projective(a, v) for v in src_vs],
-                                   [projective(a, v) for v in tgt_vs], blocks)
-    proj_diffs = {d: e for d, e in proj_diffs.items() if d in diffs}
-    _check_d_squared(a, proj_diffs)
-    return RepComplex(a, terms, diffs, proj_terms=proj_terms, proj_diffs=proj_diffs,
-                      shape=shape, check=False)
+    c = RepComplex(a, proj_terms, proj_diffs, shape)
+    _check_d_squared(a, c.proj_diffs)
+    return c
 
 
 def _check_d_squared(a: GentleAlgebra,
@@ -473,15 +471,15 @@ def unfold_band(a: GentleAlgebra, w: HomotopyBand, m: int = 0, mu=1) -> RepCompl
 
 
 def shift_presentation(proj_terms: dict[int, tuple[str, ...]],
-                       proj_diffs: dict[int, tuple[tuple[AlgElem, ...], ...]] | None,
+                       proj_diffs: dict[int, tuple[tuple[AlgElem, ...], ...]],
                        t: int):
     """The projective presentation of the suspension [t], as in ``shift``."""
     proj_terms = {d - t: v for d, v in proj_terms.items()}
     if t % 2 == 0:
-        return proj_terms, {d - t: rows for d, rows in (proj_diffs or {}).items()}
+        return proj_terms, {d - t: rows for d, rows in proj_diffs.items()}
     return proj_terms, {d - t: tuple(tuple(tuple((p, -x) for p, x in e) for e in row)
                                      for row in rows)
-                        for d, rows in (proj_diffs or {}).items()}
+                        for d, rows in proj_diffs.items()}
 
 
 def shift(c: RepComplex, t: int) -> RepComplex:
@@ -489,39 +487,28 @@ def shift(c: RepComplex, t: int) -> RepComplex:
     with differentials negated t times."""
     if t == 0 or c.is_zero():
         return c
-    sign = ONE if t % 2 == 0 else -ONE
-    terms = {d - t: rep for d, rep in c.terms.items()}
-    diffs = {d - t: (f if sign == ONE else scale_morphism(sign, f))
-             for d, f in c.diffs.items()}
-    proj_terms = proj_diffs = None
-    if c.proj_terms is not None:
-        proj_terms, proj_diffs = shift_presentation(c.proj_terms, c.proj_diffs, t)
+    proj_terms, proj_diffs = shift_presentation(c.proj_terms, c.proj_diffs, t)
     shape = None
     if c.shape is not None:
         shape = WordShape(c.shape.word, c.shape.base + t,
                           tuple((v, d - t, s) for v, d, s in c.shape.positions),
                           c.shape.cyclic, c.shape.scalar)
-    return RepComplex(c.a, terms, diffs, proj_terms=proj_terms, proj_diffs=proj_diffs,
-                      shape=shape, check=False)
+    return RepComplex(c.a, proj_terms, proj_diffs, shape)
 
 
-def nakayama_on_projectives(c: RepComplex) -> RepComplex:
+def nakayama_on_projectives(c: RepComplex) -> ModuleComplex:
     """Replace every projective summand P(v) by I(v) and every differential
     entry by its induced map between injectives."""
-    if c.proj_terms is None:
+    if not isinstance(c, RepComplex):
         raise ValueError("complex does not carry a projective presentation")
     a = c.a
     inj_cache = {v: injective(a, v) for v in a.vertices}
-    terms = {d: _direct_sum(a, [inj_cache[v] for v in vs])
-             for d, vs in c.proj_terms.items() if vs}
-    diffs: dict[int, Morphism] = {}
-    for d, rows in (c.proj_diffs or {}).items():
-        src_vs, tgt_vs = c.proj_terms[d], c.proj_terms[d + 1]
-        blocks = [[induced_injective_map(a, rows[i][j], src_vs[j], tgt_vs[i])
-                   for j in range(len(src_vs))] for i in range(len(tgt_vs))]
-        diffs[d] = _block_morphism(a, [inj_cache[v] for v in src_vs],
-                                   [inj_cache[v] for v in tgt_vs], blocks)
-    return RepComplex(a, terms, diffs)
+    terms = {d: _direct_sum(a, [inj_cache[v] for v in vs]) for d, vs in c.proj_terms.items()}
+    diffs = {d: _block_morphism(a, [[induced_injective_map(a, e, v, u)
+                                     for v, e in zip(c.proj_terms[d], row)]
+                                    for u, row in zip(c.proj_terms[d + 1], rows)])
+             for d, rows in c.proj_diffs.items()}
+    return ModuleComplex(a, terms, diffs)
 
 
 # --- projective replacement ---------------------------------------------------
@@ -561,11 +548,13 @@ def _cols_to_matrix(cols: list[Vector], n_rows: int) -> Matrix:
     return tuple(tuple(col[i] for col in cols) for i in range(n_rows))
 
 
-def perfect_replacement(c: RepComplex, max_steps: int | None = None) -> RepComplex:
+def perfect_replacement(c: ModuleComplex, max_steps: int | None = None) -> RepComplex:
     """A bounded complex of projectives quasi-isomorphic to ``c``.
 
     Built from the top degree down, with P^d -> C^d and P^d -> P^{d+1}
-    read off the generators' images.  At each degree d the pairs
+    read off the generators' images (the image of each basis path of a
+    generator's projective is an arrow applied to the image of its
+    prefix).  At each degree d the pairs
     W = {(c, p) in C^d ⊕ P^{d+1} : d_C c = ε p, d_P p = 0} form a submodule,
     and P^d is its projective cover: one P(v) per top generator at v
     (``_top_generators``), mapped onto W by the generator.  A surjection onto
@@ -588,6 +577,7 @@ def perfect_replacement(c: RepComplex, max_steps: int | None = None) -> RepCompl
 
     zero = _sum_of_projectives(a, ())
     proj_terms: dict[int, tuple[str, ...]] = {}
+    proj_diffs: dict[int, tuple[tuple[AlgElem, ...], ...]] = {}
     proj_sums: dict[int, Representation] = {}
     eps: dict[int, Morphism] = {}     # P^d -> C^d
     dP: dict[int, Morphism] = {}      # P^d -> P^{d+1}
@@ -621,80 +611,68 @@ def perfect_replacement(c: RepComplex, max_steps: int | None = None) -> RepCompl
         eps_cols: dict[str, list[Vector]] = {u: [] for u in a.vertices}
         dp_cols: dict[str, list[Vector]] = {u: [] for u in a.vertices}
         for v, gen in gens:
+            # by the arrows of the path from v; every prefix of a basis path
+            # is a basis path, and a shorter one comes first by length
+            images: dict[tuple[str, ...], Vector] = {}
+            for q in sorted(projective_basis(a, v), key=len):
+                images[q.arrows] = (_pair_act(C_d, P_next, a.arrow_map[q.arrows[-1]],
+                                              images[q.arrows[:-1]])
+                                    if q.arrows else gen)
             for q in projective_basis(a, v):
-                img = gen
-                for name in q.arrows:
-                    img = _pair_act(C_d, P_next, a.arrow_map[name], img)
+                img = images[q.arrows]
                 n = C_d.dim(q.target)
                 eps_cols[q.target].append(img[:n])
                 dp_cols[q.target].append(img[n:])
         proj_terms[d] = summands
+        proj_diffs[d] = _generator_entries(a, gens, C_d, proj_terms.get(d + 1, ()))
         proj_sums[d] = _sum_of_projectives(a, summands)
         eps[d] = {u: _cols_to_matrix(eps_cols[u], C_d.dim(u)) for u in a.vertices}
         dP[d] = {u: _cols_to_matrix(dp_cols[u], P_next.dim(u)) for u in a.vertices}
         d -= 1
 
-    out = _assemble_projective_complex(
-        a, {dd: vs for dd, vs in proj_terms.items() if vs},
-        _presentation_entries(a, proj_terms, dP))
+    out = _assemble_projective_complex(a, proj_terms, proj_diffs)
     if cohomology_dims(out) != cohomology_dims(c):
         raise InternalCheckError("replacement changed cohomology dimensions")
     return out
 
 
-def _presentation_entries(a: GentleAlgebra, proj_terms: dict[int, tuple[str, ...]],
-                          dP: dict[int, Morphism]
-                          ) -> dict[int, tuple[tuple[AlgElem, ...], ...]]:
-    """Differential entries as path combinations, read off generator images."""
-    out: dict[int, tuple[tuple[AlgElem, ...], ...]] = {}
-    for d, vs in proj_terms.items():
-        tgt_vs = proj_terms.get(d + 1, ())
-        if not vs or not tgt_vs:
-            continue
-        # column index of each summand's generator inside P^d, per vertex
-        col_at = {u: 0 for u in a.vertices}
-        gen_col = []
-        for v in vs:
-            gen_col.append(col_at[v])     # the trivial path heads the basis
-            for q in projective_basis(a, v):
-                col_at[q.target] += 1
-        rows_out: list[list[AlgElem]] = [[() for _ in vs] for _ in tgt_vs]
-        for j, v in enumerate(vs):
-            img = tuple(row[gen_col[j]] for row in dP[d][v])
-            block_start = 0
-            for i, tv in enumerate(tgt_vs):
-                basis_v = [q for q in projective_basis(a, tv) if q.target == v]
-                coeffs = img[block_start: block_start + len(basis_v)]
-                rows_out[i][j] = tuple((q, x) for q, x in zip(basis_v, coeffs) if x != 0)
-                block_start += len(basis_v)
-        out[d] = tuple(tuple(r) for r in rows_out)
-    return out
+def _generator_entries(a: GentleAlgebra, gens: list[tuple[str, Vector]], C: Representation,
+                       tgt_vs: tuple[str, ...]) -> tuple[tuple[AlgElem, ...], ...]:
+    """Differential entries from the cover summands to the summands
+    ``tgt_vs`` one degree up, read off the P part of each generator: at its
+    vertex v, the coordinates of each target summand P(u) are those of the
+    paths from u ending at v."""
+    rows: list[list[AlgElem]] = [[() for _ in gens] for _ in tgt_vs]
+    for j, (v, gen) in enumerate(gens):
+        coords = iter(gen[C.dim(v):])
+        for i, u in enumerate(tgt_vs):
+            basis = [q for q in projective_basis(a, u) if q.target == v]
+            rows[i][j] = tuple((q, x) for q, x in zip(basis, coords) if x)
+    return tuple(tuple(r) for r in rows)
 
 
 def complex_json(c: RepComplex) -> dict:
     """Wire form of a complex: dimension vectors per degree and the
     vertexwise differential matrices (entries as exact rational strings)."""
-    terms = {str(d): {v: k for v, k in rep.dims if k} for d, rep in c.terms.items()}
-    diff = {}
-    for d, f in c.diffs.items():
-        diff[str(d)] = {v: [[str(x) for x in row] for row in m]
-                        for v, m in f.items() if m and any(any(r) for r in m)}
+    vertices = c.a.vertices
+    terms = {str(d): {v: k for v in vertices if (k := c.term_dim(d, v))} for d in c.proj_terms}
+    diff = {str(d): {v: [[str(x) for x in row] for row in m]
+                     for v, m in f.items() if m and any(any(r) for r in m)}
+            for d, f in c.vertex_diffs().items()}
     return {"terms": terms, "diff": diff}
 
 
-def cohomology_dims(c: RepComplex) -> dict[int, dict[str, int]]:
-    """Vertexwise cohomology dimensions in every degree of the support."""
+def cohomology_dims(c: RepComplex | ModuleComplex) -> dict[int, dict[str, int]]:
+    """Vertexwise cohomology dimensions in every degree of the support, from
+    the term dimensions and the ranks of the vertexwise differentials."""
     sup = c.support()
     if sup is None:
         return {}
+    ranks = {(d, u): linalg.rank(m) for d, f in c.vertex_diffs().items() for u, m in f.items()}
     out: dict[int, dict[str, int]] = {}
     for d in range(sup[0], sup[1] + 1):
-        res = {}
-        for u in c.a.vertices:
-            n = c.term(d).dim(u)
-            rk_out = linalg.rank(c.diffs[d][u]) if d in c.diffs else 0
-            rk_in = linalg.rank(c.diffs[d - 1][u]) if d - 1 in c.diffs else 0
-            res[u] = n - rk_out - rk_in
+        res = {u: c.term_dim(d, u) - ranks.get((d, u), 0) - ranks.get((d - 1, u), 0)
+               for u in c.a.vertices}
         if any(res.values()):
             out[d] = {u: k for u, k in res.items() if k}
     return out
@@ -738,10 +716,8 @@ def minimize(c: RepComplex) -> RepComplex:
     nonzero trivial-path coefficient; cancellation is the usual Schur
     complement, and the neighbouring differentials just lose a row/column.
     """
-    if c.proj_terms is None:
-        raise ValueError("minimize needs a projective presentation")
     terms = {d: list(vs) for d, vs in c.proj_terms.items()}
-    diffs = {d: [list(row) for row in rows] for d, rows in (c.proj_diffs or {}).items()}
+    diffs = {d: [list(row) for row in rows] for d, rows in c.proj_diffs.items()}
 
     def unit_of(entry: AlgElem) -> Fraction | None:
         for p, x in entry:

@@ -96,11 +96,9 @@ class ExceptionalCycle:
 def _normal_form(X: RepComplex) -> tuple[int, tuple]:
     """The top degree of X and the exact projective presentation of X
     shifted so that its top degree is 0, which every suspension of X shares."""
-    if X.proj_terms is None:
-        raise ValueError("complex does not carry a projective presentation")
-    top = max((d for d, vs in X.proj_terms.items() if vs), default=0)
+    top = 0 if X.is_zero() else X.support()[1]
     terms, diffs = shift_presentation(X.proj_terms, X.proj_diffs, top)
-    return top, (tuple(sorted((d, vs) for d, vs in terms.items() if vs)),
+    return top, (tuple(sorted(terms.items())),
                  tuple(sorted(diffs.items())))
 
 
@@ -126,15 +124,12 @@ def _entry_complex(a: GentleAlgebra, word: Word, sigma: int) -> RepComplex:
     return shift(base, sigma)
 
 
-def _summand_signature(c: RepComplex) -> tuple | None:
+def _summand_signature(c: RepComplex) -> tuple:
     """Degreewise projective content, normalized so the top degree is 0."""
-    if c.proj_terms is None:
-        return None
-    degs = sorted(d for d, vs in c.proj_terms.items() if vs)
-    if not degs:
+    if c.is_zero():
         return ()
-    top = degs[-1]
-    return tuple((d - top, tuple(sorted(c.proj_terms[d]))) for d in degs)
+    top = c.support()[1]
+    return tuple((d - top, tuple(sorted(c.proj_terms[d]))) for d in sorted(c.proj_terms))
 
 
 def identify_shift(a: GentleAlgebra, Y: RepComplex, Z: RepComplex) -> int | None:

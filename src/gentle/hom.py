@@ -13,8 +13,9 @@ on string complexes every entry is ±1.  The exact elimination core of
 ``linalg`` computes ranks (once per boundary level of a pair), chain-map
 bases and null-homotopy membership from those columns.  Chain maps are
 path combinations too (``PathMap``), and the local-ring isomorphism test
-for indecomposables composes them as such; no module morphism is built
-here.
+for indecomposables composes them as such.  The only dense matrices it
+reads are the vertexwise differentials that ``cohomology_dims`` ranks for
+the quick cohomology screen of that test.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .linalg import Matrix, ZERO, ONE
+from .linalg import ZERO, ONE
 from .complexes import AlgElem, RepComplex, _elem_combine, _elem_mul, cohomology_dims
 from .presentation import GentleAlgebra, InternalCheckError, Path
 
@@ -130,25 +131,24 @@ class HomPair:
 
     Level n collects the maps X^d -> Y^{d+n}; the boundary sends f to
     dY∘f - (-1)^n f∘dX.  Kernel mod image at level n is Hom(X, Y[n]) in the
-    homotopy category.  Both complexes must carry projective presentations:
-    a level splits into blocks between single projectives, each with the
-    path basis of ``_pair_space``, and the boundary is read off the memoized
-    products of those paths with the differential entries, one table per
-    block and entry, as sparse integer columns (``boundary_columns``;
-    ``boundary_matrix`` is their dense view).  Each level's columns and
-    their echelon form are built once per pair, so ``profile`` and repeated
-    ``hom_dim`` calls rank every level once, and every null-homotopy test
-    at a level reduces against the same echelon form.  Maps are
-    ``PathMap``s: ``path_chain_maps`` gives a basis of the chain maps at a
+    homotopy category.  Both complexes are read on their projective
+    presentations: a level splits into blocks between single projectives,
+    each with the path basis of ``_pair_space``, and the boundary is read
+    off the memoized products of those paths with the differential
+    entries, one table per block and entry, as sparse integer columns
+    (``boundary_columns``).  Each level's columns and their echelon form
+    are built once per pair, so ``profile`` and repeated ``hom_dim`` calls
+    rank every level once, and every null-homotopy test at a level reduces
+    against the same echelon form.  Maps are ``PathMap``s:
+    ``path_chain_maps`` gives a basis of the chain maps at a
     level and ``is_null_homotopic`` tests one.
     """
 
     def __init__(self, X: RepComplex, Y: RepComplex):
+        if not isinstance(X, RepComplex) or not isinstance(Y, RepComplex):
+            raise ValueError("Hom needs complexes of projectives")
         if X.a is not Y.a:
             raise ValueError("complexes over different algebras")
-        if X.proj_terms is None or X.proj_diffs is None \
-                or Y.proj_terms is None or Y.proj_diffs is None:
-            raise ValueError("Hom needs complexes that carry projective presentations")
         self.a = X.a
         self.X = X
         self.Y = Y
@@ -185,13 +185,11 @@ class HomPair:
         if n in self._levels:
             return self._levels[n]
         slots = []
-        sx, sy = self.X.support(), self.Y.support()
-        if sx and sy:
-            for d in range(sx[0], sx[1] + 1):
-                if d in self.X.terms and d + n in self.Y.terms:
-                    dim = self._slot_dim(d, n)
-                    if dim:
-                        slots.append((d, dim))
+        for d in sorted(self.X.proj_terms):
+            if d + n in self.Y.proj_terms:
+                dim = self._slot_dim(d, n)
+                if dim:
+                    slots.append((d, dim))
         self._levels[n] = slots
         return slots
 
@@ -211,8 +209,7 @@ class HomPair:
         columns: list[dict[int, int | Fraction]] = []
         for d, _ in self._level_slots(n):
             x_terms, y_terms = X.proj_terms[d], Y.proj_terms[d + n]
-            dY = Y.proj_diffs.get(d + n) if d + n + 1 in Y.terms else None
-            dX = X.proj_diffs.get(d - 1) if d - 1 in X.terms else None
+            dY, dX = Y.proj_diffs.get(d + n), X.proj_diffs.get(d - 1)
             up_index = self._block_index.get((d, n + 1), {}) if d in tgt_offsets else {}
             dn_index = self._block_index.get((d - 1, n + 1), {}) if d - 1 in tgt_offsets else {}
             for k, l, _, space in self._blocks[(d, n)]:
@@ -236,13 +233,6 @@ class HomPair:
                 columns.extend(cols)
         self._columns[n] = columns
         return columns
-
-    def boundary_matrix(self, n: int) -> Matrix:
-        """Dense view of ``boundary_columns(n)``: rows of level n+1 by
-        columns of level n, entries ``Fraction``."""
-        cols = self.boundary_columns(n)
-        return tuple(tuple(Fraction(col.get(i, 0)) for col in cols)
-                     for i in range(self.level_dim(n + 1)))
 
     def _target_offsets(self, n: int) -> dict[int, int]:
         offsets: dict[int, int] = {}
@@ -330,15 +320,9 @@ def chain_map_dim(X: RepComplex, Y: RepComplex) -> int:
     return pair.cycle_dim(0)
 
 
-def homotopy_space_dim(X: RepComplex, Y: RepComplex) -> int:
-    return HomPair(X, Y).image_dim_into(0)
-
-
-def hom_k_dim(X: RepComplex, Y: RepComplex) -> int:
-    return HomPair(X, Y).hom_dim(0)
-
-
 def _quick_distinct(X: RepComplex, Y: RepComplex) -> bool:
+    """Whether the vertexwise cohomology dimensions, ranked on the derived
+    vertex matrices of the differentials, already tell X and Y apart."""
     return cohomology_dims(X) != cohomology_dims(Y)
 
 

@@ -18,16 +18,18 @@ The Hom complex of ``gentle.hom`` and the cover generators of projective
 replacement feed sparse vectors to the core directly.  The dense entry
 points ``rank``, ``nullspace``, ``solve`` and ``rref`` take row-major
 matrices (tuples of rows of ``Fraction``) and serve the module matrices of
-projective replacement and cohomology through the same core; they clear
-denominators row by row, which keeps the row space and the kernel.
+projective replacement and the vertexwise differentials ranked for
+cohomology through the same core; they clear denominators row by row,
+which keeps the row space and the kernel.
 Replaying every module-matrix call of one pass of each benchmark workload
 (mostly matrices of at most 2 x 2; CPython 3.11 on a 2-core host) took 7%
 less time on the core than on the dense ``Fraction`` elimination it
 replaced: 16% less for ``nullspace``, the same for ``rank``.  That dense
 elimination is kept as the test oracle.  ``solve`` and ``rref`` have no
 caller in the package; they stay as tested public entry points, and the
-benchmark's layer tracer (``bench/tracer.py``) lists both by name.  The remaining helpers are
-the dense matrix arithmetic of representations and their morphisms.
+benchmark's layer tracer (``bench/tracer.py``) lists both by name.  The
+remaining helpers are the dense matrix arithmetic that building and
+checking representations and their morphisms needs.
 """
 
 from __future__ import annotations
@@ -47,10 +49,6 @@ ONE = Fraction(1)
 def zeros(m: int, n: int) -> Matrix:
     row = (ZERO,) * n
     return tuple(row for _ in range(m))
-
-
-def identity(n: int) -> Matrix:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 
 
 def shape(a: Matrix) -> tuple[int, int]:
@@ -100,15 +98,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                     out[j] += x * y
         rows.append(tuple(out))
     return tuple(rows)
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(c, a: Matrix) -> Matrix:
-    c = Fraction(c)
-    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:

@@ -2,13 +2,17 @@
 
 Module morphisms are nullspaces of the commutation constraints over the
 rationals, and the graded Hom complex of a pair of complexes is assembled
-from them by composing dense matrices.  It needs no projective
-presentation and shares no code with the path-level engine in
-``gentle.hom``, which the tests compare against it; ``dense_chain_map``
+from them by composing dense matrices.  It reads complexes as module
+complexes: ``dense_complex`` turns a complex of projectives into one,
+each term the direct sum of its projectives, each differential the
+vertex matrices that the package derives from the presentation, checked
+densely on construction.  It shares no code with the path-level engine
+in ``gentle.hom``, which the tests compare against it; ``dense_chain_map``
 turns the engine's path maps into the degreewise module morphisms this
-oracle works on.  Its linear algebra is the dense ``Fraction`` elimination
-below (``dense_rref`` and what is built on it), not the sparse integer
-core of ``gentle.linalg``, which the tests also check against it.
+oracle works on, and ``dense_boundary`` gives the engine's sparse boundary
+columns as a dense matrix.  Its linear algebra is the dense ``Fraction``
+elimination below (``dense_rref`` and what is built on it), not the sparse
+integer core of ``gentle.linalg``, which the tests also check against it.
 """
 
 from __future__ import annotations
@@ -17,10 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from gentle import linalg
-from gentle.complexes import (Morphism, RepComplex, Representation, _block_morphism,
-                              cohomology_dims, compose_morphisms, morphism_is_zero,
-                              projective, right_multiplication, scale_morphism,
-                              zero_morphism)
+from gentle.complexes import (ModuleComplex, Morphism, RepComplex, Representation,
+                              _block_morphism, _sum_of_projectives, make_representation,
+                              right_multiplication)
+from gentle.hom import HomPair
 from gentle.linalg import ONE, ZERO, Matrix
 from gentle.presentation import GentleAlgebra
 
@@ -97,10 +101,80 @@ def dense_solve(a: Matrix, b: tuple[Fraction, ...]) -> tuple[Fraction, ...] | No
     return tuple(x)
 
 
-# --- module morphisms and chain maps ------------------------------------------
+# --- dense matrices, modules and morphisms --------------------------------------
+
+def identity(n: int) -> Matrix:
+    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+
+
+def mat_add(a: Matrix, b: Matrix) -> Matrix:
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_scale(c, a: Matrix) -> Matrix:
+    c = Fraction(c)
+    return tuple(tuple(c * x for x in row) for row in a)
+
+
+def simple(a: GentleAlgebra, v: str) -> Representation:
+    return make_representation(a, {u: (1 if u == v else 0) for u in a.vertices}, {})
+
+
+def zero_morphism(a: GentleAlgebra, src: Representation, tgt: Representation) -> Morphism:
+    return {v: linalg.zeros(tgt.dim(v), src.dim(v)) for v in a.vertices}
+
+
+def morphism_is_zero(f: Morphism) -> bool:
+    return all(linalg.is_zero_matrix(m) for m in f.values())
+
+
+def compose_morphisms(a: GentleAlgebra, f: Morphism, g: Morphism) -> Morphism:
+    """g∘f, vertexwise."""
+    return {v: linalg.mat_mul(g[v], f[v]) for v in a.vertices}
+
+
+def scale_morphism(c, f: Morphism) -> Morphism:
+    return {v: mat_scale(c, m) for v, m in f.items()}
+
 
 def add_morphisms(f: Morphism, g: Morphism) -> Morphism:
-    return {v: linalg.mat_add(f[v], g[v]) for v in f}
+    return {v: mat_add(f[v], g[v]) for v in f}
+
+
+def dense_complex(X: RepComplex | ModuleComplex) -> ModuleComplex:
+    """The module complex of X: each term the direct sum of its projectives,
+    each differential its derived vertex matrices; the constructor checks
+    densely that they are module morphisms with d∘d = 0."""
+    if isinstance(X, ModuleComplex):
+        return X
+    a = X.a
+    return ModuleComplex(a, {d: _sum_of_projectives(a, vs) for d, vs in X.proj_terms.items()},
+                         X.vertex_diffs())
+
+
+def dense_cohomology(M: ModuleComplex) -> dict[int, dict[str, int]]:
+    """Vertexwise cohomology dimensions of a module complex, ranked by the
+    dense elimination."""
+    out: dict[int, dict[str, int]] = {}
+    for d, t in M.terms.items():
+        res = {}
+        for u in M.a.vertices:
+            rk_out = dense_rank(M.diffs[d][u]) if d in M.diffs else 0
+            rk_in = dense_rank(M.diffs[d - 1][u]) if d - 1 in M.diffs else 0
+            k = t.dim(u) - rk_out - rk_in
+            if k:
+                res[u] = k
+        if res:
+            out[d] = res
+    return out
+
+
+def dense_boundary(pair: HomPair, n: int) -> Matrix:
+    """The engine's boundary columns of level n as a dense matrix: rows of
+    level n+1 by columns of level n, entries ``Fraction``."""
+    cols = pair.boundary_columns(n)
+    return tuple(tuple(Fraction(col.get(i, 0)) for col in cols)
+                 for i in range(pair.level_dim(n + 1)))
 
 
 def dense_chain_map(X: RepComplex, Y: RepComplex, f, n: int = 0) -> ChainMap:
@@ -114,10 +188,9 @@ def dense_chain_map(X: RepComplex, Y: RepComplex, f, n: int = 0) -> ChainMap:
     out: ChainMap = {}
     for d, elems in by_degree.items():
         src_vs, tgt_vs = X.proj_terms[d], Y.proj_terms[d + n]
-        blocks = [[right_multiplication(a, elems.get((k, l), ()), u, v)
-                   for k, u in enumerate(src_vs)] for l, v in enumerate(tgt_vs)]
-        out[d] = _block_morphism(a, [projective(a, u) for u in src_vs],
-                                 [projective(a, v) for v in tgt_vs], blocks)
+        out[d] = _block_morphism(a, [[right_multiplication(a, elems.get((k, l), ()), u, v)
+                                      for k, u in enumerate(src_vs)]
+                                     for l, v in enumerate(tgt_vs)])
     return out
 
 
@@ -212,10 +285,12 @@ class RepHomPair:
 
     Level n collects the module morphisms X^d -> Y^{d+n}, each degree with
     the nullspace basis of ``hom_space``; the boundary sends f to
-    dY∘f - (-1)^n f∘dX.
+    dY∘f - (-1)^n f∘dX.  Complexes of projectives are read through
+    ``dense_complex``.
     """
 
-    def __init__(self, X: RepComplex, Y: RepComplex):
+    def __init__(self, X: RepComplex | ModuleComplex, Y: RepComplex | ModuleComplex):
+        X, Y = dense_complex(X), dense_complex(Y)
         self.a, self.X, self.Y = X.a, X, Y
         sx, sy = X.support(), Y.support()
         self.window = (0, -1) if sx is None or sy is None else (sy[0] - sx[1], sy[1] - sx[0])
@@ -313,10 +388,10 @@ class RepHomPair:
         if sx is None:
             return True
         for d in range(sx[0] - 1, sx[1] + 2):
-            fd = f.get(d, zero_morphism(a, X.term(d), Y.term(d + n)))
-            fd1 = f.get(d + 1, zero_morphism(a, X.term(d + 1), Y.term(d + n + 1)))
-            lhs = compose_morphisms(a, X.diff(d), fd1)
-            rhs = scale_morphism(sign, compose_morphisms(a, fd, Y.diff(d + n)))
+            fd = f.get(d, zero_morphism(a, _term(X, d), _term(Y, d + n)))
+            fd1 = f.get(d + 1, zero_morphism(a, _term(X, d + 1), _term(Y, d + n + 1)))
+            lhs = compose_morphisms(a, _diff(X, d), fd1)
+            rhs = scale_morphism(sign, compose_morphisms(a, fd, _diff(Y, d + n)))
             if not all(linalg.mat_eq(lhs[v], rhs[v]) for v in a.vertices):
                 return False
         return True
@@ -328,6 +403,16 @@ class RepHomPair:
         if all(x == 0 for x in vec):
             return True
         return dense_solve(self.boundary_matrix(n - 1), vec) is not None
+
+
+def _term(M: ModuleComplex, d: int) -> Representation:
+    return M.terms[d] if d in M.terms else make_representation(M.a, {}, {})
+
+
+def _diff(M: ModuleComplex, d: int) -> Morphism:
+    if d in M.diffs:
+        return M.diffs[d]
+    return zero_morphism(M.a, _term(M, d), _term(M, d + 1))
 
 
 def _compose_chain(a: GentleAlgebra, f: ChainMap, g: ChainMap) -> ChainMap:
@@ -345,9 +430,10 @@ def iso_indecomposable(X: RepComplex, Y: RepComplex) -> bool:
     """The local-ring isomorphism test on dense chain maps: some composite
     Y -> X -> Y of basis chain maps is invertible, i.e. not nilpotent
     modulo null-homotopic maps."""
-    if X.is_zero() or Y.is_zero():
-        return X.is_zero() and Y.is_zero()
-    if cohomology_dims(X) != cohomology_dims(Y):
+    X, Y = dense_complex(X), dense_complex(Y)
+    if X.support() is None or Y.support() is None:
+        return X.support() is None and Y.support() is None
+    if dense_cohomology(X) != dense_cohomology(Y):
         return False
     maps_xy = RepHomPair(X, Y).chain_maps(0)
     maps_yx = RepHomPair(Y, X).chain_maps(0)

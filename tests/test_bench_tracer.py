@@ -1,9 +1,11 @@
-"""The benchmark's layer tracer binds every name it lists.
+"""The benchmark's layer tracer binds every name it lists and reads them.
 
 ``bench/tracer.py`` wraps package functions by name from outside and
 refuses a name without a binding, which ends a traced benchmark run.
 Constructing a ``Tracer`` resolves every name without patching anything,
-so a renamed or deleted layer fails here first.
+so a renamed or deleted layer fails here first.  One traced search checks
+the argument contracts the wrappers read: a dense matrix first for the
+matrix layers, and the search funnel hooks.
 """
 
 from __future__ import annotations
@@ -36,3 +38,23 @@ def test_tracer_binds_every_layer_and_funnel_hook(tracer):
 def test_tracer_refuses_an_unbound_name(tracer):
     with pytest.raises(tracer.TraceError):
         tracer.Tracer(tracer.LAYERS + ("hom.no_such_function",))
+
+
+def test_tracer_reads_the_layers_and_funnel_of_a_search(tracer):
+    # a traced search on a fresh algebra: the dense-matrix layers are sized
+    # from their first argument, a row-tuple matrix, and the funnel hooks
+    # count inside the search; a refactor that breaks either contract ends
+    # a traced benchmark run
+    import gentle.exceptional
+    from conftest import fixture_text
+    from gentle import load_algebra
+    a = load_algebra(fixture_text("pent"))
+    t = tracer.Tracer()
+    t.install()
+    try:
+        gentle.exceptional.brute_force_search(a)
+    finally:
+        t.uninstall()
+    rank = t.summary()["linalg.rank"]
+    assert rank["calls"] > 0 and rank["entries"] > 0
+    assert t.counts["words"] > 0

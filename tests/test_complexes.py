@@ -3,15 +3,16 @@ projective replacement."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
+import rep_oracle
 from gentle import (cohomology_dims, injective, iso_indecomposable, minimize,
                     nakayama_on_projectives, parse_word, perfect_replacement,
-                    projective, shift, simple, trivial_string, unfold_band,
-                    unfold_string)
-from gentle.complexes import (RepComplex, _assemble_projective_complex,
+                    projective, shift, trivial_string, unfold_band, unfold_string)
+from gentle.complexes import (ModuleComplex, RepComplex, _assemble_projective_complex,
                               _sum_of_projectives, _top_generators, right_multiplication)
 from gentle.exceptional import _summand_signature, enumerate_strings
 from gentle.linalg import ONE, mat_eq
@@ -28,8 +29,8 @@ def test_standard_modules_a2(algebras):
     assert dims_of(projective(a, "2")) == {"2": 1}
     assert dims_of(injective(a, "2")) == {"1": 1, "2": 1}
     assert dims_of(injective(a, "1")) == {"1": 1}
-    assert dims_of(simple(a, "1")) == {"1": 1}
-    assert all(not any(x for row in simple(a, "1").act(arr.name) for x in row)
+    assert dims_of(rep_oracle.simple(a, "1")) == {"1": 1}
+    assert all(not any(x for row in rep_oracle.simple(a, "1").act(arr.name) for x in row)
                for arr in a.arrows)
 
 
@@ -45,7 +46,7 @@ def test_unfold_single_letter_kronecker(algebras):
     assert X.proj_terms == {-1: ("2",), 0: ("1",)}
     # the differential is right multiplication by the arrow
     expected = right_multiplication(a, ((a.arrow_path("a"), Fraction(1)),), "2", "1")
-    assert all(mat_eq(X.diffs[-1][v], expected[v]) for v in a.vertices)
+    assert all(mat_eq(X.vertex_diffs()[-1][v], expected[v]) for v in a.vertices)
 
 
 def test_unfold_square_word_dual_numbers(algebras):
@@ -55,7 +56,7 @@ def test_unfold_square_word_dual_numbers(algebras):
     assert X.proj_terms == {-2: ("1",), -1: ("1",), 0: ("1",)}
     mult_x = right_multiplication(a, ((a.arrow_path("x"), Fraction(1)),), "1", "1")
     for d in (-2, -1):
-        assert all(mat_eq(X.diffs[d][v], mult_x[v]) for v in a.vertices)
+        assert all(mat_eq(X.vertex_diffs()[d][v], mult_x[v]) for v in a.vertices)
 
 
 def test_unfold_trivial_is_stalk(algebras):
@@ -73,7 +74,7 @@ def test_unfold_band_kronecker_matches_scaled_matrix(algebras):
     assert E.proj_terms == {-1: ("2",), 0: ("1",)}
     expected = right_multiplication(
         a, ((a.arrow_path("a"), Fraction(1)), (a.arrow_path("b"), lam)), "2", "1")
-    assert all(mat_eq(E.diffs[-1][v], expected[v]) for v in a.vertices)
+    assert all(mat_eq(E.vertex_diffs()[-1][v], expected[v]) for v in a.vertices)
 
 
 def test_unfold_band_pent_positions(algebras):
@@ -89,18 +90,62 @@ def test_band_scalar_zero_rejected(algebras):
         unfold_band(a, parse_word(a, "band: b^-1, a"), 0, 0)
 
 
-def test_shift_conventions(algebras):
+def test_shift_conventions(algebras, acceptance_corpus):
     a = algebras["a2"]
     X = unfold_string(a, parse_word(a, "a"), 0)
     assert shift(X, 0) is X
     Y = shift(X, 1)
     assert Y.support() == (-2, -1)
-    assert all(mat_eq(Y.diffs[-2][v],
-                      tuple(tuple(-x for x in row) for row in X.diffs[-1][v]))
+    assert all(mat_eq(Y.vertex_diffs()[-2][v],
+                      tuple(tuple(-x for x in row) for row in X.vertex_diffs()[-1][v]))
                for v in a.vertices)
     Z = shift(Y, -1)
     assert Z.support() == X.support()
-    assert all(mat_eq(Z.diffs[-1][v], X.diffs[-1][v]) for v in a.vertices)
+    assert all(mat_eq(Z.vertex_diffs()[-1][v], X.vertex_diffs()[-1][v]) for v in a.vertices)
+    # on seeded strings and a band: the vertex matrices derived for X[t] are
+    # (-1)^t those of X, the dense module check accepts them, and the
+    # cohomology read off the presentation is the dense cohomology
+    rng = random.Random(16)
+    cases = [X]
+    for b in acceptance_corpus[:10]:
+        strings = enumerate_strings(b, 3)
+        cases += [unfold_string(b, w, 0) for w in rng.sample(strings, min(4, len(strings)))]
+    k = algebras["kronecker"]
+    cases.append(unfold_band(k, parse_word(k, "band: b^-1, a"), 0, 2))
+    for X in cases:
+        base = X.vertex_diffs()
+        for t in (-1, 0, 1, 2):
+            Y = shift(X, t)
+            assert Y.vertex_diffs() == {d - t: {v: rep_oracle.mat_scale((-1) ** t, m)
+                                                for v, m in f.items()}
+                                        for d, f in base.items()}, (X, t)
+            dense = rep_oracle.dense_complex(Y)     # raises unless morphisms with d∘d = 0
+            assert cohomology_dims(Y) == rep_oracle.dense_cohomology(dense), (X, t)
+
+
+def test_presentation_path_builds_no_module_matrices(algebras, monkeypatch):
+    # unfolding, suspension, minimization, Hom and the combinatorial bases
+    # read presentations only: every builder of a module or of a vertex
+    # matrix refuses
+    import gentle.complexes
+    from gentle import HomPair, alp_basis
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("module layer built on the presentation path")
+    for name in ("right_multiplication", "_sum_of_projectives", "_block_morphism",
+                 "make_representation"):
+        monkeypatch.setattr(gentle.complexes, name, refuse)
+    for name, band, mu in (("pent", "band: d^-1, e^-1, f^-1, c, b, a", 1),
+                           ("kronecker", "band: b^-1, a", 2)):
+        a = algebras[name]
+        strings = [unfold_string(a, w, 0) for w in enumerate_strings(a, 2)]
+        bands = [unfold_band(a, parse_word(a, band), 0, mu)]
+        for X in strings + bands:
+            for Y in (shift(X, 1), shift(X, -2), minimize(X)):
+                HomPair(X, Y).profile()
+        for X in strings:
+            for Y in strings[:6]:
+                alp_basis(X, Y)
 
 
 def test_unfold_with_base_index_suspends(algebras):
@@ -140,7 +185,7 @@ def test_nakayama_a2_arrow_complex(algebras):
 def test_nakayama_needs_presentation(algebras):
     a = algebras["a2"]
     X = unfold_string(a, parse_word(a, "a"), 0)
-    bare = RepComplex(a, dict(X.terms), dict(X.diffs))
+    bare = rep_oracle.dense_complex(X)
     with pytest.raises(ValueError):
         nakayama_on_projectives(bare)
 
@@ -148,7 +193,7 @@ def test_nakayama_needs_presentation(algebras):
 def test_replacement_of_projective_complex_is_isomorphic(algebras):
     a = algebras["dual_numbers"]
     X = unfold_string(a, parse_word(a, "x, x"), 0)
-    R = perfect_replacement(X)
+    R = perfect_replacement(rep_oracle.dense_complex(X))
     assert iso_indecomposable(minimize(R), X)
 
 
@@ -189,7 +234,8 @@ def test_replacement_of_a_minimal_complex_keeps_its_summands(algebras, acceptanc
     cases.append(unfold_band(k, parse_word(k, "band: b^-1, a"), 0, 2))
     assert len(cases) == 953
     for X in cases:
-        assert _summand_signature(perfect_replacement(X)) == _summand_signature(X), X
+        R = perfect_replacement(rep_oracle.dense_complex(X))
+        assert _summand_signature(R) == _summand_signature(X), X
 
 
 def test_top_generators_of_a_projective_and_a_non_closed_submodule(algebras):
@@ -205,7 +251,7 @@ def test_replacement_of_a_non_perfect_complex_stops(algebras):
     # the simple over the dual numbers has an infinite projective resolution
     a = algebras["dual_numbers"]
     with pytest.raises(InternalCheckError, match="did not terminate"):
-        perfect_replacement(RepComplex(a, {0: simple(a, "1")}, {}))
+        perfect_replacement(ModuleComplex(a, {0: rep_oracle.simple(a, "1")}, {}))
 
 
 def test_replacement_checks_cohomology(algebras, monkeypatch):
@@ -214,7 +260,7 @@ def test_replacement_checks_cohomology(algebras, monkeypatch):
     monkeypatch.setattr(gentle.complexes, "_top_generators", lambda *args: [])
     a = algebras["a2"]
     with pytest.raises(InternalCheckError, match="changed cohomology"):
-        perfect_replacement(unfold_string(a, parse_word(a, "a"), 0))
+        perfect_replacement(rep_oracle.dense_complex(unfold_string(a, parse_word(a, "a"), 0)))
 
 
 def test_unfold_string_and_inverse_isomorphic(algebras):
@@ -256,24 +302,15 @@ def test_every_construction_checks_d_squared(algebras):
 # --- the d∘d check on presentations against the dense check --------------------
 
 def _verdicts(a, proj_terms, proj_diffs):
-    """Whether the presentation check and the dense check of the
-    materialized differentials accept the complex."""
-    from gentle.complexes import _block_morphism, _sum_of_projectives
+    """Whether the presentation check and the dense check of the derived
+    vertex matrices accept the complex."""
     try:
         _assemble_projective_complex(a, proj_terms, proj_diffs)
         on_paths = True
     except InternalCheckError:
         on_paths = False
-    terms = {d: _sum_of_projectives(a, vs) for d, vs in proj_terms.items()}
-    diffs = {}
-    for d, rows in proj_diffs.items():
-        src, tgt = proj_terms[d], proj_terms[d + 1]
-        blocks = [[right_multiplication(a, rows[i][j], src[j], tgt[i])
-                   for j in range(len(src))] for i in range(len(tgt))]
-        diffs[d] = _block_morphism(a, [projective(a, v) for v in src],
-                                   [projective(a, v) for v in tgt], blocks)
     try:
-        RepComplex(a, terms, diffs)
+        rep_oracle.dense_complex(RepComplex(a, proj_terms, proj_diffs))
         dense = True
     except InternalCheckError:
         dense = False

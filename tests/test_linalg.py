@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from rep_oracle import dense_nullspace, dense_rank, dense_rref, dense_solve
+from rep_oracle import dense_boundary, dense_nullspace, dense_rank, dense_rref, dense_solve
 from gentle import (HomPair, enumerate_threads, linalg, parse_word, thread_string,
                     unfold_band, unfold_string)
 from gentle.exceptional import enumerate_strings
@@ -108,7 +108,7 @@ def _hom_levels_agree(X, Y, strings: bool) -> int:
             assert all(type(x) is int and x in (1, -1) for x in values)
         else:
             assert all(type(x) is int or x.denominator != 1 for x in values)
-        dense = pair.boundary_matrix(n)
+        dense = dense_boundary(pair, n)
         dim = pair.level_dim(n)
         assert len(pair._span(n)) == dense_rank(dense)
         basis, free = linalg.kernel(cols)
@@ -117,7 +117,7 @@ def _hom_levels_agree(X, Y, strings: bool) -> int:
         assert free == dense_free
         assert [tuple(v.get(j, 0) for j in range(dim)) for v in basis] == dense_basis
         if lo <= n <= hi:
-            image = pair.boundary_matrix(n - 1)
+            image = dense_boundary(pair, n - 1)
             for f in pair.path_chain_maps(n):
                 coords = pair._path_coords(n, f)
                 assert pair.is_null_homotopic(f, n) == \
