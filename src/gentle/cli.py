@@ -16,12 +16,11 @@ from fractions import Fraction
 
 from . import alp as alp_mod
 from . import exceptional as exc
-from .complexes import complex_json, shift, unfold_band, unfold_string
-from .hom import HomPair
+from .hom import HomPair, complex_json
 from .presentation import (GentleValidationError, InternalCheckError,
                            PresentationSyntaxError, load_algebra)
 from .threads import aag_cycles, detect_critical_cycles, enumerate_threads
-from .words import HomotopyBand, WordError, parse_word
+from .words import WordError, parse_word
 
 
 class DomainError(Exception):
@@ -58,9 +57,7 @@ def _parse_word_at(a, expr: str):
 
 
 def _entry_to_complex(a, expr: str):
-    w, s = _parse_word_at(a, expr)
-    base = unfold_band(a, w, 0, 1) if isinstance(w, HomotopyBand) else unfold_string(a, w, 0)
-    return shift(base, s)
+    return exc.entry_complex(a, *_parse_word_at(a, expr))
 
 
 def _cycle_payload(c: exc.ExceptionalCycle) -> dict:

@@ -3,11 +3,9 @@
 A complex of projectives (``RepComplex``) is its projective presentation:
 each term a sum of indecomposable projectives P(v), each differential
 entry a rational combination of paths acting by right multiplication.
-The Hom engine, Gaussian minimization, the search and the classifier read
-only the presentation.  The vertexwise matrices of the differentials are
-derived from it on first use, once per complex, for the readers that need
-them: cohomology dimensions (``cohomology_dims``) and the wire form
-(``complex_json``); term dimensions are path counts.
+Everything reads only the presentation: the Hom engine, Gaussian
+minimization, the search and the classifier, and also cohomology and the
+wire form, which read X at a vertex u as Hom(P(u), X) in ``gentle.hom``.
 
 The Nakayama twist of a complex of projectives is a complex of injectives.
 It is the one module complex (``ModuleComplex``): explicit representations
@@ -154,43 +152,6 @@ def injective(a: GentleAlgebra, v: str) -> Representation:
     return rep
 
 
-def right_multiplication(a: GentleAlgebra, elem: AlgElem, src_vertex: str,
-                         tgt_vertex: str) -> Morphism:
-    """The map P(src_vertex) -> P(tgt_vertex), x -> x·elem.
-
-    Every path in elem must run from tgt_vertex to src_vertex.  The map is
-    checked to be a module morphism when it is first built.
-    """
-    key = ("rmul", elem, src_vertex, tgt_vertex)
-    cached = a._cache.get(key)
-    if cached is not None:
-        return dict(cached)
-    for p, _ in elem:
-        if p.source != tgt_vertex or p.target != src_vertex:
-            raise ValueError(f"path {p} does not run {tgt_vertex} -> {src_vertex}")
-    src_by = {u: [q for q in projective_basis(a, src_vertex) if q.target == u]
-              for u in a.vertices}
-    tgt_by = {u: [q for q in projective_basis(a, tgt_vertex) if q.target == u]
-              for u in a.vertices}
-    out: Morphism = {}
-    for u in a.vertices:
-        cols, rows_basis = src_by[u], tgt_by[u]
-        pos = {q: i for i, q in enumerate(rows_basis)}
-        m = [[ZERO] * len(cols) for _ in rows_basis]
-        for j, q in enumerate(cols):
-            for p, c in elem:
-                arrows = p.arrows + q.arrows
-                image = (a.make_path(arrows, at_vertex=tgt_vertex) if arrows
-                         else a.trivial_path(tgt_vertex))
-                if image is not None and image in pos:
-                    m[pos[image]][j] += c
-        out[u] = tuple(tuple(row) for row in m)
-    if not check_morphism(a, projective(a, src_vertex), projective(a, tgt_vertex), out):
-        raise InternalCheckError(f"multiplication by {elem} is not a module morphism")
-    a._cache[key] = dict(out)
-    return out
-
-
 def induced_injective_map(a: GentleAlgebra, elem: AlgElem, src_vertex: str,
                           tgt_vertex: str) -> Morphism:
     """The map I(src_vertex) -> I(tgt_vertex) induced by the same multiplier.
@@ -266,34 +227,12 @@ class RepComplex:
         self.shape = shape
         self._support = ((min(self.proj_terms), max(self.proj_terms))
                          if self.proj_terms else None)
-        self._vertex_diffs: dict[int, Morphism] | None = None
 
     def support(self) -> tuple[int, int] | None:
         return self._support
 
     def is_zero(self) -> bool:
         return self._support is None
-
-    def term_dim(self, d: int, u: str) -> int:
-        """Dimension of the degree-d term at vertex u: the paths from the
-        summands' vertices that end at u."""
-        return sum(q.target == u for v in self.proj_terms.get(d, ())
-                   for q in projective_basis(self.a, v))
-
-    def vertex_diffs(self) -> dict[int, Morphism]:
-        """The vertexwise matrices of the differentials, built on first use.
-
-        Each summand P(v) has its paths as basis, in path-basis order, and
-        each block is the right multiplication by its entry.
-        """
-        if self._vertex_diffs is None:
-            a, terms = self.a, self.proj_terms
-            self._vertex_diffs = {
-                d: _block_morphism(a, [[right_multiplication(a, e, v, u)
-                                        for v, e in zip(terms[d], row)]
-                                       for u, row in zip(terms[d + 1], rows)])
-                for d, rows in self.proj_diffs.items()}
-        return self._vertex_diffs
 
     def __repr__(self):
         if self._support is None:
@@ -327,9 +266,6 @@ class ModuleComplex:
 
     def term_dim(self, d: int, u: str) -> int:
         return self.terms[d].dim(u) if d in self.terms else 0
-
-    def vertex_diffs(self) -> dict[int, Morphism]:
-        return self.diffs
 
     def _check(self) -> None:
         for d, f in self.diffs.items():
@@ -564,7 +500,8 @@ def perfect_replacement(c: ModuleComplex, max_steps: int | None = None) -> RepCo
     projective resolution of the remaining syzygy module, which terminates
     exactly when the input is quasi-isomorphic to a bounded complex of
     projectives; ``max_steps`` guards the loop.  Cohomology preservation is
-    checked on the result.
+    checked on the result, by two independent engines: the Hom engine on
+    the output, dense ranks of the vertex matrices on the input.
     """
     a = c.a
     sup = c.support()
@@ -630,6 +567,7 @@ def perfect_replacement(c: ModuleComplex, max_steps: int | None = None) -> RepCo
         dP[d] = {u: _cols_to_matrix(dp_cols[u], P_next.dim(u)) for u in a.vertices}
         d -= 1
 
+    from .hom import cohomology_dims     # imported here: hom imports this module
     out = _assemble_projective_complex(a, proj_terms, proj_diffs)
     if cohomology_dims(out) != cohomology_dims(c):
         raise InternalCheckError("replacement changed cohomology dimensions")
@@ -649,33 +587,6 @@ def _generator_entries(a: GentleAlgebra, gens: list[tuple[str, Vector]], C: Repr
             basis = [q for q in projective_basis(a, u) if q.target == v]
             rows[i][j] = tuple((q, x) for q, x in zip(basis, coords) if x)
     return tuple(tuple(r) for r in rows)
-
-
-def complex_json(c: RepComplex) -> dict:
-    """Wire form of a complex: dimension vectors per degree and the
-    vertexwise differential matrices (entries as exact rational strings)."""
-    vertices = c.a.vertices
-    terms = {str(d): {v: k for v in vertices if (k := c.term_dim(d, v))} for d in c.proj_terms}
-    diff = {str(d): {v: [[str(x) for x in row] for row in m]
-                     for v, m in f.items() if m and any(any(r) for r in m)}
-            for d, f in c.vertex_diffs().items()}
-    return {"terms": terms, "diff": diff}
-
-
-def cohomology_dims(c: RepComplex | ModuleComplex) -> dict[int, dict[str, int]]:
-    """Vertexwise cohomology dimensions in every degree of the support, from
-    the term dimensions and the ranks of the vertexwise differentials."""
-    sup = c.support()
-    if sup is None:
-        return {}
-    ranks = {(d, u): linalg.rank(m) for d, f in c.vertex_diffs().items() for u, m in f.items()}
-    out: dict[int, dict[str, int]] = {}
-    for d in range(sup[0], sup[1] + 1):
-        res = {u: c.term_dim(d, u) - ranks.get((d, u), 0) - ranks.get((d - 1, u), 0)
-               for u in c.a.vertices}
-        if any(res.values()):
-            out[d] = {u: k for u, k in res.items() if k}
-    return out
 
 
 # --- Gaussian minimization ----------------------------------------------------

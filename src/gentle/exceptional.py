@@ -18,7 +18,6 @@ reproduces the classification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .complexes import (RepComplex, minimize, nakayama_on_projectives,
                         perfect_replacement, shift, shift_presentation,
@@ -116,7 +115,9 @@ def serre_image(a: GentleAlgebra, X: RepComplex) -> RepComplex:
     return shift(images[key], -top)
 
 
-def _entry_complex(a: GentleAlgebra, word: Word, sigma: int) -> RepComplex:
+def entry_complex(a: GentleAlgebra, word: Word, sigma: int) -> RepComplex:
+    """The complex of a cycle entry (word, sigma): a band at scalar 1 or a
+    string, unfolded at base index 0 and suspended by sigma."""
     if isinstance(word, HomotopyBand):
         base = unfold_band(a, word, 0, 1)
     else:
@@ -293,7 +294,7 @@ def verify_cycle(a: GentleAlgebra, entries: list[tuple[Word, int]]) -> CycleCert
     n = len(entries)
     if n == 0:
         raise ValueError("empty candidate")
-    cxs = [_entry_complex(a, w, s) for w, s in entries]
+    cxs = [entry_complex(a, w, s) for w, s in entries]
     if n == 1:
         E = cxs[0]
         prof = graded_profile(E, E).nonzero()
@@ -338,8 +339,6 @@ def check_band_spherical(a: GentleAlgebra, w: HomotopyBand, mu) -> tuple[bool, G
     suspension by one; the question reduces to the self-Hom profile being
     concentrated in degrees 0 and 1 with rank one each.
     """
-    if Fraction(mu) == 0:
-        raise ValueError("band scalar must be nonzero")
     E = unfold_band(a, w, 0, mu)
     prof = graded_profile(E, E)
     return (prof.nonzero() == {0: 1, 1: 1}, prof)
@@ -426,9 +425,8 @@ def default_search_bounds(a: GentleAlgebra) -> tuple[int, int]:
     window = len(a.arrows) + longest + 2
     floor = max(longest_f, 1)
     for margin in (2, 1):
-        bound = max(floor + margin, 3 if margin == 2 else floor + margin)
-        if _string_count_within(a, bound, SEARCH_WORD_BUDGET):
-            return bound, window
+        if _string_count_within(a, floor + margin, SEARCH_WORD_BUDGET):
+            return floor + margin, window
     return floor, window
 
 

@@ -13,9 +13,13 @@ on string complexes every entry is ±1.  The exact elimination core of
 ``linalg`` computes ranks (once per boundary level of a pair), chain-map
 bases and null-homotopy membership from those columns.  Chain maps are
 path combinations too (``PathMap``), and the local-ring isomorphism test
-for indecomposables composes them as such.  The only dense matrices it
-reads are the vertexwise differentials that ``cohomology_dims`` ranks for
-the quick cohomology screen of that test.
+for indecomposables composes them as such.
+
+A complex of projectives X at a vertex u is the Hom complex of the pair
+(P(u), X): its level d is X^d at u, in the path basis, and its boundary
+the differential there, since the stalk P(u) has none.  Cohomology
+(``cohomology_dims``) and the wire form (``complex_json``) are read off
+those pairs; no dense matrix is built for a complex of projectives.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from fractions import Fraction
 
 from . import linalg
 from .linalg import ZERO, ONE
-from .complexes import AlgElem, RepComplex, _elem_combine, _elem_mul, cohomology_dims
+from .complexes import AlgElem, ModuleComplex, RepComplex, _elem_combine, _elem_mul
 from .presentation import GentleAlgebra, InternalCheckError, Path
 
 # A map X -> Y[n] on the presentations: (degree d, summand of X^d, summand
@@ -320,10 +324,52 @@ def chain_map_dim(X: RepComplex, Y: RepComplex) -> int:
     return pair.cycle_dim(0)
 
 
-def _quick_distinct(X: RepComplex, Y: RepComplex) -> bool:
-    """Whether the vertexwise cohomology dimensions, ranked on the derived
-    vertex matrices of the differentials, already tell X and Y apart."""
-    return cohomology_dims(X) != cohomology_dims(Y)
+def _vertex_pairs(c: RepComplex) -> dict[str, HomPair]:
+    """Hom(P(u), c) for every vertex u, with P(u) the stalk in degree 0."""
+    a = c.a
+    return {u: HomPair(RepComplex(a, {0: (u,)}, {}), c) for u in a.vertices}
+
+
+def complex_json(c: RepComplex) -> dict:
+    """Wire form of a complex: dimension vectors per degree and the
+    vertexwise differential matrices (entries as exact rational strings),
+    each summand P(v) with its paths as basis, in path-basis order."""
+    pairs = _vertex_pairs(c)
+    terms = {str(d): {u: k for u, p in pairs.items() if (k := p.level_dim(d))}
+             for d in c.proj_terms}
+    diff = {}
+    for d in c.proj_diffs:
+        mats = {}
+        for u, p in pairs.items():
+            cols = p.boundary_columns(d)
+            if any(cols):
+                mats[u] = [[str(col.get(i, 0)) for col in cols]
+                           for i in range(p.level_dim(d + 1))]
+        diff[str(d)] = mats
+    return {"terms": terms, "diff": diff}
+
+
+def cohomology_dims(c: RepComplex | ModuleComplex) -> dict[int, dict[str, int]]:
+    """Vertexwise cohomology dimensions in every degree of the support: of a
+    complex of projectives as dim Hom(P(u), X[d]), of a module complex from
+    its term dimensions and the ranks of its vertexwise differentials."""
+    sup = c.support()
+    if sup is None:
+        return {}
+    degrees, vertices = range(sup[0], sup[1] + 1), c.a.vertices
+    if isinstance(c, RepComplex):
+        pairs = _vertex_pairs(c)
+        dims = {(d, u): pairs[u].hom_dim(d) for d in degrees for u in vertices}
+    else:
+        ranks = {(d, u): linalg.rank(m) for d, f in c.diffs.items() for u, m in f.items()}
+        dims = {(d, u): c.term_dim(d, u) - ranks.get((d, u), 0) - ranks.get((d - 1, u), 0)
+                for d in degrees for u in vertices}
+    out: dict[int, dict[str, int]] = {}
+    for d in degrees:
+        res = {u: dims[d, u] for u in vertices if dims[d, u]}
+        if res:
+            out[d] = res
+    return out
 
 
 def iso_indecomposable(X: RepComplex, Y: RepComplex) -> bool:
@@ -339,8 +385,6 @@ def iso_indecomposable(X: RepComplex, Y: RepComplex) -> bool:
     """
     if X.is_zero() or Y.is_zero():
         return X.is_zero() and Y.is_zero()
-    if _quick_distinct(X, Y):
-        return False
     maps_xy = HomPair(X, Y).path_chain_maps(0)
     maps_yx = HomPair(Y, X).path_chain_maps(0)
     if not maps_xy or not maps_yx:

@@ -18,9 +18,9 @@ The Hom complex of ``gentle.hom`` and the cover generators of projective
 replacement feed sparse vectors to the core directly.  The dense entry
 points ``rank``, ``nullspace``, ``solve`` and ``rref`` take row-major
 matrices (tuples of rows of ``Fraction``) and serve the module matrices of
-projective replacement and the vertexwise differentials ranked for
-cohomology through the same core; they clear denominators row by row,
-which keeps the row space and the kernel.
+projective replacement and of the Nakayama twist, whose vertexwise
+differentials are ranked for cohomology, through the same core; they
+clear denominators row by row, which keeps the row space and the kernel.
 Replaying every module-matrix call of one pass of each benchmark workload
 (mostly matrices of at most 2 x 2; CPython 3.11 on a 2-core host) took 7%
 less time on the core than on the dense ``Fraction`` elimination it

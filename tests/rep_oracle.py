@@ -5,8 +5,9 @@ rationals, and the graded Hom complex of a pair of complexes is assembled
 from them by composing dense matrices.  It reads complexes as module
 complexes: ``dense_complex`` turns a complex of projectives into one,
 each term the direct sum of its projectives, each differential the
-vertex matrices that the package derives from the presentation, checked
-densely on construction.  It shares no code with the path-level engine
+vertex matrices derived here from the presentation (``vertex_diffs``, by
+``right_multiplication``, each block checked to be a module morphism),
+checked densely on construction.  It shares no code with the path-level engine
 in ``gentle.hom``, which the tests compare against it; ``dense_chain_map``
 turns the engine's path maps into the degreewise module morphisms this
 oracle works on, and ``dense_boundary`` gives the engine's sparse boundary
@@ -21,12 +22,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from gentle import linalg
-from gentle.complexes import (ModuleComplex, Morphism, RepComplex, Representation,
-                              _block_morphism, _sum_of_projectives, make_representation,
-                              right_multiplication)
+from gentle.complexes import (AlgElem, ModuleComplex, Morphism, RepComplex, Representation,
+                              _block_morphism, _sum_of_projectives, check_morphism,
+                              make_representation, projective, projective_basis)
 from gentle.hom import HomPair
 from gentle.linalg import ONE, ZERO, Matrix
-from gentle.presentation import GentleAlgebra
+from gentle.presentation import GentleAlgebra, InternalCheckError
 
 # A chain map X -> Y[n] is a dict degree -> Morphism X^d -> Y^{d+n}.
 ChainMap = dict[int, Morphism]
@@ -141,15 +142,75 @@ def add_morphisms(f: Morphism, g: Morphism) -> Morphism:
     return {v: mat_add(f[v], g[v]) for v in f}
 
 
+def right_multiplication(a: GentleAlgebra, elem: AlgElem, src_vertex: str,
+                         tgt_vertex: str) -> Morphism:
+    """The map P(src_vertex) -> P(tgt_vertex), x -> x·elem.
+
+    Every path in elem must run from tgt_vertex to src_vertex.  The map is
+    checked to be a module morphism when it is first built.
+    """
+    key = ("rmul", elem, src_vertex, tgt_vertex)
+    cached = a._cache.get(key)
+    if cached is not None:
+        return dict(cached)
+    for p, _ in elem:
+        if p.source != tgt_vertex or p.target != src_vertex:
+            raise ValueError(f"path {p} does not run {tgt_vertex} -> {src_vertex}")
+    src_by = {u: [q for q in projective_basis(a, src_vertex) if q.target == u]
+              for u in a.vertices}
+    tgt_by = {u: [q for q in projective_basis(a, tgt_vertex) if q.target == u]
+              for u in a.vertices}
+    out: Morphism = {}
+    for u in a.vertices:
+        cols, rows_basis = src_by[u], tgt_by[u]
+        pos = {q: i for i, q in enumerate(rows_basis)}
+        m = [[ZERO] * len(cols) for _ in rows_basis]
+        for j, q in enumerate(cols):
+            for p, c in elem:
+                arrows = p.arrows + q.arrows
+                image = (a.make_path(arrows, at_vertex=tgt_vertex) if arrows
+                         else a.trivial_path(tgt_vertex))
+                if image is not None and image in pos:
+                    m[pos[image]][j] += c
+        out[u] = tuple(tuple(row) for row in m)
+    if not check_morphism(a, projective(a, src_vertex), projective(a, tgt_vertex), out):
+        raise InternalCheckError(f"multiplication by {elem} is not a module morphism")
+    a._cache[key] = dict(out)
+    return out
+
+
+def vertex_diffs(X: RepComplex) -> dict[int, Morphism]:
+    """The vertexwise matrices of the differentials of a complex of
+    projectives: each summand P(v) with its paths as basis, in path-basis
+    order, each block the right multiplication by its entry."""
+    a, terms = X.a, X.proj_terms
+    return {d: _block_morphism(a, [[right_multiplication(a, e, v, u)
+                                    for v, e in zip(terms[d], row)]
+                                   for u, row in zip(terms[d + 1], rows)])
+            for d, rows in X.proj_diffs.items()}
+
+
 def dense_complex(X: RepComplex | ModuleComplex) -> ModuleComplex:
     """The module complex of X: each term the direct sum of its projectives,
-    each differential its derived vertex matrices; the constructor checks
-    densely that they are module morphisms with d∘d = 0."""
+    each differential its vertex matrices; the constructor checks densely
+    that they are module morphisms with d∘d = 0."""
     if isinstance(X, ModuleComplex):
         return X
     a = X.a
     return ModuleComplex(a, {d: _sum_of_projectives(a, vs) for d, vs in X.proj_terms.items()},
-                         X.vertex_diffs())
+                         vertex_diffs(X))
+
+
+def dense_complex_json(X: RepComplex) -> dict:
+    """The wire form of ``gentle.hom.complex_json`` read off the dense
+    module complex: dimension vectors per degree and the nonzero vertex
+    matrices of the differentials, entries as rational strings."""
+    M = dense_complex(X)
+    terms = {str(d): {v: k for v, k in t.dims if k} for d, t in M.terms.items()}
+    diff = {str(d): {v: [[str(x) for x in row] for row in m]
+                     for v, m in f.items() if any(any(row) for row in m)}
+            for d, f in M.diffs.items()}
+    return {"terms": terms, "diff": diff}
 
 
 def dense_cohomology(M: ModuleComplex) -> dict[int, dict[str, int]]:

@@ -13,7 +13,7 @@ from gentle import (cohomology_dims, injective, iso_indecomposable, minimize,
                     nakayama_on_projectives, parse_word, perfect_replacement,
                     projective, shift, trivial_string, unfold_band, unfold_string)
 from gentle.complexes import (ModuleComplex, RepComplex, _assemble_projective_complex,
-                              _sum_of_projectives, _top_generators, right_multiplication)
+                              _sum_of_projectives, _top_generators)
 from gentle.exceptional import _summand_signature, enumerate_strings
 from gentle.linalg import ONE, mat_eq
 from gentle.presentation import InternalCheckError
@@ -45,8 +45,8 @@ def test_unfold_single_letter_kronecker(algebras):
     assert X.support() == (-1, 0)
     assert X.proj_terms == {-1: ("2",), 0: ("1",)}
     # the differential is right multiplication by the arrow
-    expected = right_multiplication(a, ((a.arrow_path("a"), Fraction(1)),), "2", "1")
-    assert all(mat_eq(X.vertex_diffs()[-1][v], expected[v]) for v in a.vertices)
+    expected = rep_oracle.right_multiplication(a, ((a.arrow_path("a"), Fraction(1)),), "2", "1")
+    assert all(mat_eq(rep_oracle.vertex_diffs(X)[-1][v], expected[v]) for v in a.vertices)
 
 
 def test_unfold_square_word_dual_numbers(algebras):
@@ -54,9 +54,9 @@ def test_unfold_square_word_dual_numbers(algebras):
     X = unfold_string(a, parse_word(a, "x, x"), 0)
     assert X.support() == (-2, 0)
     assert X.proj_terms == {-2: ("1",), -1: ("1",), 0: ("1",)}
-    mult_x = right_multiplication(a, ((a.arrow_path("x"), Fraction(1)),), "1", "1")
+    mult_x = rep_oracle.right_multiplication(a, ((a.arrow_path("x"), Fraction(1)),), "1", "1")
     for d in (-2, -1):
-        assert all(mat_eq(X.vertex_diffs()[d][v], mult_x[v]) for v in a.vertices)
+        assert all(mat_eq(rep_oracle.vertex_diffs(X)[d][v], mult_x[v]) for v in a.vertices)
 
 
 def test_unfold_trivial_is_stalk(algebras):
@@ -72,9 +72,9 @@ def test_unfold_band_kronecker_matches_scaled_matrix(algebras):
     lam = Fraction(5, 3)
     E = unfold_band(a, w, 0, lam)
     assert E.proj_terms == {-1: ("2",), 0: ("1",)}
-    expected = right_multiplication(
+    expected = rep_oracle.right_multiplication(
         a, ((a.arrow_path("a"), Fraction(1)), (a.arrow_path("b"), lam)), "2", "1")
-    assert all(mat_eq(E.vertex_diffs()[-1][v], expected[v]) for v in a.vertices)
+    assert all(mat_eq(rep_oracle.vertex_diffs(E)[-1][v], expected[v]) for v in a.vertices)
 
 
 def test_unfold_band_pent_positions(algebras):
@@ -96,12 +96,12 @@ def test_shift_conventions(algebras, acceptance_corpus):
     assert shift(X, 0) is X
     Y = shift(X, 1)
     assert Y.support() == (-2, -1)
-    assert all(mat_eq(Y.vertex_diffs()[-2][v],
-                      tuple(tuple(-x for x in row) for row in X.vertex_diffs()[-1][v]))
+    dx, dy = rep_oracle.vertex_diffs(X), rep_oracle.vertex_diffs(Y)
+    assert all(mat_eq(dy[-2][v], tuple(tuple(-x for x in row) for row in dx[-1][v]))
                for v in a.vertices)
     Z = shift(Y, -1)
     assert Z.support() == X.support()
-    assert all(mat_eq(Z.vertex_diffs()[-1][v], X.vertex_diffs()[-1][v]) for v in a.vertices)
+    assert all(mat_eq(rep_oracle.vertex_diffs(Z)[-1][v], dx[-1][v]) for v in a.vertices)
     # on seeded strings and a band: the vertex matrices derived for X[t] are
     # (-1)^t those of X, the dense module check accepts them, and the
     # cohomology read off the presentation is the dense cohomology
@@ -113,27 +113,28 @@ def test_shift_conventions(algebras, acceptance_corpus):
     k = algebras["kronecker"]
     cases.append(unfold_band(k, parse_word(k, "band: b^-1, a"), 0, 2))
     for X in cases:
-        base = X.vertex_diffs()
+        base = rep_oracle.vertex_diffs(X)
         for t in (-1, 0, 1, 2):
             Y = shift(X, t)
-            assert Y.vertex_diffs() == {d - t: {v: rep_oracle.mat_scale((-1) ** t, m)
-                                                for v, m in f.items()}
-                                        for d, f in base.items()}, (X, t)
+            assert rep_oracle.vertex_diffs(Y) == {
+                d - t: {v: rep_oracle.mat_scale((-1) ** t, m) for v, m in f.items()}
+                for d, f in base.items()}, (X, t)
             dense = rep_oracle.dense_complex(Y)     # raises unless morphisms with d∘d = 0
             assert cohomology_dims(Y) == rep_oracle.dense_cohomology(dense), (X, t)
 
 
 def test_presentation_path_builds_no_module_matrices(algebras, monkeypatch):
-    # unfolding, suspension, minimization, Hom and the combinatorial bases
-    # read presentations only: every builder of a module or of a vertex
-    # matrix refuses
+    # unfolding, suspension, minimization, Hom, the combinatorial bases, the
+    # isomorphism test, cohomology and the wire form read presentations
+    # only: every builder of a module or of a vertex matrix refuses
     import gentle.complexes
     from gentle import HomPair, alp_basis
+    from gentle.hom import complex_json
 
     def refuse(*args, **kwargs):
         raise AssertionError("module layer built on the presentation path")
-    for name in ("right_multiplication", "_sum_of_projectives", "_block_morphism",
-                 "make_representation"):
+    for name in ("_sum_of_projectives", "_block_morphism", "make_representation",
+                 "projective", "check_morphism"):
         monkeypatch.setattr(gentle.complexes, name, refuse)
     for name, band, mu in (("pent", "band: d^-1, e^-1, f^-1, c, b, a", 1),
                            ("kronecker", "band: b^-1, a", 2)):
@@ -143,9 +144,13 @@ def test_presentation_path_builds_no_module_matrices(algebras, monkeypatch):
         for X in strings + bands:
             for Y in (shift(X, 1), shift(X, -2), minimize(X)):
                 HomPair(X, Y).profile()
+                assert iso_indecomposable(X, Y) == (Y.support() == X.support()), (X, Y)
+            cohomology_dims(X)
+            complex_json(X)
         for X in strings:
             for Y in strings[:6]:
                 alp_basis(X, Y)
+                iso_indecomposable(X, Y)
 
 
 def test_unfold_with_base_index_suspends(algebras):

@@ -11,13 +11,14 @@ import pytest
 import rep_oracle
 from conftest import fixture_text
 from duality import dual_complex, opposite
-from gentle import (HomPair, chain_map_dim, graded_profile, iso_indecomposable,
-                    linalg, nakayama_on_projectives, minimize, parse_word,
-                    perfect_replacement, shift, trivial_string, unfold_band,
-                    unfold_string)
+from gentle import (HomPair, chain_map_dim, cohomology_dims, graded_profile,
+                    iso_indecomposable, linalg, nakayama_on_projectives, minimize,
+                    parse_word, perfect_replacement, shift, trivial_string,
+                    unfold_band, unfold_string)
 from gentle.complexes import _assemble_projective_complex
 from gentle.exceptional import (_member_profile_of, default_search_bounds, enumerate_strings,
                                 mouth_objects, serre_image)
+from gentle.hom import complex_json
 from gentle.presentation import InternalCheckError, load_algebra
 from gentle.randomgen import random_gentle
 
@@ -33,7 +34,8 @@ def test_identity_is_a_chain_map(algebras):
     X = unfold_string(a, parse_word(a, "d, a^-1"), 0)
     one = _identity(X)
     dense = rep_oracle.dense_chain_map(X, X, one)
-    assert all(dense[d][v] == rep_oracle.identity(X.term_dim(d, v))
+    terms = rep_oracle.dense_complex(X).terms
+    assert all(dense[d][v] == rep_oracle.identity(terms[d].dim(v))
                for d in X.proj_terms for v in a.vertices)
     assert rep_oracle.RepHomPair(X, X).is_chain_map(dense)
     assert not HomPair(X, X).is_null_homotopic(one)
@@ -225,7 +227,6 @@ def test_path_basis_spans_projective_homs(acceptance_corpus):
     # v ~> u: as many as the nullspace of the commutation constraints has
     # dimensions, each inside it, independent
     from gentle import linalg, projective
-    from gentle.complexes import right_multiplication
     from gentle.hom import _pair_space
     for a in acceptance_corpus:
         for u in a.vertices:
@@ -234,9 +235,9 @@ def test_path_basis_spans_projective_homs(acceptance_corpus):
                 space = rep_oracle.hom_space(a, pu, pv)
                 paths = list(_pair_space(a, u, v))
                 assert len(paths) == len(space.basis), (a, u, v)
-                vecs = [rep_oracle.morphism_vector(
-                            a, pu, pv, right_multiplication(a, ((p, Fraction(1)),), u, v))
-                        for p in paths]
+                mults = [rep_oracle.right_multiplication(a, ((p, Fraction(1)),), u, v)
+                         for p in paths]
+                vecs = [rep_oracle.morphism_vector(a, pu, pv, f) for f in mults]
                 assert all(space.coords(vec) is not None for vec in vecs), (a, u, v)
                 assert not vecs or linalg.rank(tuple(vecs)) == len(vecs)
 
@@ -303,7 +304,34 @@ def test_iso_verdicts_match_the_dense_oracle():
                 verdict = iso_indecomposable(X, Y)
                 assert verdict == rep_oracle.iso_indecomposable(X, Y), (name, mu, nu)
                 verdicts.append(verdict)
+    # the two string pairs of at most 3 letters on 3002 with the same summand
+    # content and different cohomology
+    a = algebras[3]
+    for x, y in [("b*c^-1", "e^-1"), ("b*c^-1, e, b*c^-1", "e^-1, b*c, e^-1")]:
+        X, Y = unfold_string(a, parse_word(a, x), 0), unfold_string(a, parse_word(a, y), 0)
+        assert _summand_signature(X) == _summand_signature(Y)
+        assert cohomology_dims(X) != cohomology_dims(Y)
+        for P, Q in ((X, Y), (Y, X)):
+            assert not iso_indecomposable(P, Q) and not rep_oracle.iso_indecomposable(P, Q)
     assert True in verdicts and False in verdicts
+
+
+def test_wire_form_and_cohomology_match_the_dense_oracle(algebras):
+    # complex_json and cohomology_dims read a complex at each vertex u as
+    # Hom(P(u), X); the oracle reads its dense vertex matrices
+    cases = []
+    for a in algebras.values():
+        for w in enumerate_strings(a, 3):
+            X = unfold_string(a, w, 0)
+            cases += [shift(X, t) for t in (0, 1, -1, 2)]
+    k = algebras["kronecker"]
+    band = parse_word(k, "band: b^-1, a")
+    cases += [shift(unfold_band(k, band, 0, mu), t)
+              for mu in (1, 2, Fraction(-3, 2)) for t in (0, 1)]
+    assert len(cases) == 286
+    for X in cases:
+        assert complex_json(X) == rep_oracle.dense_complex_json(X), X
+        assert cohomology_dims(X) == rep_oracle.dense_cohomology(rep_oracle.dense_complex(X)), X
 
 
 def test_zero_complex_homs(algebras):
