@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import RepComplex, WordShape
+from .complexes import RepComplex, WordShape, _pair_space
 from .hom import PathMap, chain_map_dim
 from .linalg import ONE
 from .presentation import GentleAlgebra, InternalCheckError, Path
@@ -71,11 +71,6 @@ def _unfolded(c: RepComplex) -> _Unfolded:
     return _Unfolded(c, c.shape, letters)
 
 
-def _paths_between(a: GentleAlgebra, src: str, tgt: str) -> list[Path]:
-    """Nonzero paths usable as a component P(src) -> P(tgt): run tgt -> src."""
-    return [p for p in a.paths_from[tgt] if p.target == src and not p.is_trivial]
-
-
 def _ok_left(a: GentleAlgebra, uv: _Unfolded, uw: _Unfolded, i: int, j: int,
              f: Path) -> bool:
     A = uv.high_letter(i)
@@ -107,8 +102,9 @@ def single_maps(v: RepComplex, w: RepComplex) -> list[CombMap]:
         for j in range(uw.n_pos):
             if uv.degree(i) != uw.degree(j):
                 continue
-            for f in _paths_between(a, uv.vertex(i), uw.vertex(j)):
-                if _ok_left(a, uv, uw, i, j, f) and _ok_right(a, uv, uw, i, j, f):
+            for f in _pair_space(a, uv.vertex(i), uw.vertex(j)):
+                if (not f.is_trivial and _ok_left(a, uv, uw, i, j, f)
+                        and _ok_right(a, uv, uw, i, j, f)):
                     out.append(CombMap(SINGLE, ((i, j, f),)))
     return out
 
@@ -139,9 +135,9 @@ def _aligned_doubles(a: GentleAlgebra, uv: _Unfolded, uw: _Unfolded):
                 continue
             if A.direct:
                 # equation: A∘f_R == f_L∘B with B applied first
-                for f_r in _paths_between(a, uv.vertex(i), uw.vertex(j)):
+                for f_r in _pair_space(a, uv.vertex(i), uw.vertex(j)):
                     z = a.compose(A.path, f_r)
-                    if z is None:
+                    if z is None or f_r.is_trivial:
                         continue
                     nb = len(B.path.arrows)
                     if len(z.arrows) <= nb or z.arrows[:nb] != B.path.arrows:
@@ -154,9 +150,9 @@ def _aligned_doubles(a: GentleAlgebra, uv: _Unfolded, uw: _Unfolded):
                     out.append(((i + 1, j + 1, f_l), (i, j, f_r)))
             else:
                 # inverse middles: f_L then A.path == B.path then f_R
-                for f_l in _paths_between(a, uv.vertex(i + 1), uw.vertex(j + 1)):
+                for f_l in _pair_space(a, uv.vertex(i + 1), uw.vertex(j + 1)):
                     z = a.compose(A.path, f_l)
-                    if z is None:
+                    if z is None or f_l.is_trivial:
                         continue
                     nb = len(B.path.arrows)
                     if len(z.arrows) <= nb or z.arrows[:nb] != B.path.arrows:

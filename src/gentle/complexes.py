@@ -1,4 +1,4 @@
-"""Quiver representations and bounded complexes of projectives.
+"""Bounded complexes of projectives and their Nakayama twist.
 
 A complex of projectives (``RepComplex``) is its projective presentation:
 each term a sum of indecomposable projectives P(v), each differential
@@ -7,10 +7,14 @@ Everything reads only the presentation: the Hom engine, Gaussian
 minimization, the search and the classifier, and also cohomology and the
 wire form, which read X at a vertex u as Hom(P(u), X) in ``gentle.hom``.
 
-The Nakayama twist of a complex of projectives is a complex of injectives.
-It is the one module complex (``ModuleComplex``): explicit representations
-as terms and vertexwise matrices as differentials, checked densely, and
-the input of projective replacement.
+The Nakayama twist νX is the same presentation read in injectives
+(``InjectiveComplex``): each P(v) becomes I(v), and each entry acts
+through the dual of its right multiplication.  Projective replacement
+covers it by projectives degree by degree on sparse vectors in path
+coordinates: at a vertex u, I(v) has the paths u ⇝ v as basis and P(w)
+the paths w ⇝ u, both read off the one cached lookup ``_pair_space``.  No
+module is built; the only matrices are the dense rows that the
+elimination entry points ``linalg.nullspace`` and ``linalg.rank`` take.
 
 Words unfold into complexes along their positions: a direct letter q gives
 a component from the projective at its end vertex to the one at its start
@@ -26,161 +30,38 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .linalg import Matrix, Vector, ZERO, ONE
+from .linalg import Matrix, ZERO, ONE
 from .presentation import Arrow, GentleAlgebra, InternalCheckError, Path
 from .words import HomotopyBand, HomotopyString, Word
 
 # An element of e_u A e_v: rational combination of parallel paths.
 AlgElem = tuple[tuple[Path, Fraction], ...]
 
-
-@dataclass(frozen=True)
-class Representation:
-    """A finite-dimensional module: dims per vertex, a matrix per arrow."""
-
-    dims: tuple[tuple[str, int], ...]
-    action: tuple[tuple[str, Matrix], ...]
-
-    def _tables(self):
-        cached = self.__dict__.get("_lookup")
-        if cached is None:
-            cached = (dict(self.dims), dict(self.action))
-            self.__dict__["_lookup"] = cached
-        return cached
-
-    def dim(self, v: str) -> int:
-        return self._tables()[0].get(v, 0)
-
-    def act(self, arrow: str) -> Matrix:
-        return self._tables()[1][arrow]
-
-    @property
-    def total_dim(self) -> int:
-        return sum(d for _, d in self.dims)
-
-    def __repr__(self):
-        inside = ", ".join(f"{v}:{d}" for v, d in self.dims if d)
-        return f"Rep({inside})"
+# A vector in path coordinates: {basis index: nonzero value}.
+SparseVector = dict[int, Fraction]
 
 
-def make_representation(a: GentleAlgebra, dims: dict[str, int],
-                        action: dict[str, Matrix]) -> Representation:
-    """Build and check a representation (shapes, relations acting by zero)."""
-    filled = {}
-    for arr in a.arrows:
-        want = (dims.get(arr.target, 0), dims.get(arr.source, 0))
-        m = action.get(arr.name)
-        if m is None or want[0] == 0:
-            m = linalg.zeros(*want)
-        rows, cols = linalg.shape(m)
-        if rows != want[0] or (rows > 0 and cols != want[1]):
-            raise ValueError(f"matrix for {arr.name} has shape {(rows, cols)}, wanted {want}")
-        filled[arr.name] = m
-    for (first, second) in a.relations:
-        if not linalg.is_zero_matrix(linalg.mat_mul(filled[second], filled[first])):
-            raise ValueError(f"relation {second}∘{first} does not act by zero")
-    return Representation(tuple((v, dims.get(v, 0)) for v in a.vertices),
-                          tuple((arr.name, filled[arr.name]) for arr in a.arrows))
+def _pair_space(a: GentleAlgebra, u: str, v: str) -> dict[Path, int]:
+    """The paths v ⇝ u, each with its position in path-basis order.
 
-
-# Morphisms of representations are plain dicts vertex -> Matrix.
-Morphism = dict[str, Matrix]
-
-
-def check_morphism(a: GentleAlgebra, src: Representation, tgt: Representation,
-                   f: Morphism) -> bool:
-    return all(linalg.mat_eq(linalg.mat_mul(f[arr.target], src.act(arr.name)),
-                             linalg.mat_mul(tgt.act(arr.name), f[arr.source]))
-               for arr in a.arrows)
-
-
-# --- the standard modules ----------------------------------------------------
-
-def projective_basis(a: GentleAlgebra, v: str) -> tuple[Path, ...]:
-    """Paths starting at v, in path-basis order; they span P(v)."""
-    return a.paths_from[v]
-
-
-def injective_basis(a: GentleAlgebra, v: str) -> tuple[Path, ...]:
-    """Paths ending at v; their dual functionals span I(v)."""
-    return a.paths_into[v]
-
-
-def projective(a: GentleAlgebra, v: str) -> Representation:
-    key = ("proj", v)
-    if key in a._cache:
-        return a._cache[key]
-    basis = projective_basis(a, v)
-    by_vertex = {u: [q for q in basis if q.target == u] for u in a.vertices}
-    dims = {u: len(by_vertex[u]) for u in a.vertices}
-    action = {}
-    for arr in a.arrows:
-        src_list, tgt_list = by_vertex[arr.source], by_vertex[arr.target]
-        pos = {q: i for i, q in enumerate(tgt_list)}
-        m = [[ZERO] * len(src_list) for _ in tgt_list]
-        for j, q in enumerate(src_list):
-            image = a.make_path(q.arrows + (arr.name,), at_vertex=v)
-            if image is not None and image in pos:
-                m[pos[image]][j] = ONE
-        action[arr.name] = tuple(tuple(row) for row in m)
-    rep = make_representation(a, dims, action)
-    a._cache[key] = rep
-    return rep
-
-
-def injective(a: GentleAlgebra, v: str) -> Representation:
-    key = ("inj", v)
-    if key in a._cache:
-        return a._cache[key]
-    basis = injective_basis(a, v)
-    by_vertex = {u: [q for q in basis if q.source == u] for u in a.vertices}
-    dims = {u: len(by_vertex[u]) for u in a.vertices}
-    action = {}
-    for arr in a.arrows:
-        src_list, tgt_list = by_vertex[arr.source], by_vertex[arr.target]
-        pos = {q: i for i, q in enumerate(tgt_list)}
-        m = [[ZERO] * len(src_list) for _ in tgt_list]
-        for j, q in enumerate(src_list):
-            # the functional dual to q pushes forward by dropping q's first arrow
-            if q.arrows and q.arrows[0] == arr.name:
-                image = Path(arr.target, q.arrows[1:], v)
-                if image in pos:
-                    m[pos[image]][j] = ONE
-        action[arr.name] = tuple(tuple(row) for row in m)
-    rep = make_representation(a, dims, action)
-    a._cache[key] = rep
-    return rep
-
-
-def induced_injective_map(a: GentleAlgebra, elem: AlgElem, src_vertex: str,
-                          tgt_vertex: str) -> Morphism:
-    """The map I(src_vertex) -> I(tgt_vertex) induced by the same multiplier.
-
-    The functional dual to a path p maps to the functional dual to p with the
-    multiplier cancelled off its final arrows, when it divides.
+    They are the basis of P(v) at u, and so of Hom(P(u), P(v)) (a path q
+    is the image of the generator e_u), and the basis of I(u) at v.
     """
-    src_by = {u: [q for q in injective_basis(a, src_vertex) if q.source == u]
-              for u in a.vertices}
-    tgt_by = {u: [q for q in injective_basis(a, tgt_vertex) if q.source == u]
-              for u in a.vertices}
-    out: Morphism = {}
-    for u in a.vertices:
-        cols, rows_basis = src_by[u], tgt_by[u]
-        pos = {q: i for i, q in enumerate(rows_basis)}
-        m = [[ZERO] * len(cols) for _ in rows_basis]
-        for j, q in enumerate(cols):
-            for p, c in elem:
-                k = len(p.arrows)
-                if k == 0:
-                    image = Path(q.source, q.arrows, tgt_vertex)
-                elif k <= len(q.arrows) and q.arrows[-k:] == p.arrows:
-                    image = Path(q.source, q.arrows[:-k], tgt_vertex)
-                else:
-                    continue
-                if image in pos:
-                    m[pos[image]][j] += c
-        out[u] = tuple(tuple(row) for row in m)
-    return out
+    key = ("pair_space", u, v)
+    if key not in a._cache:
+        paths = (q for q in a.paths_from[v] if q.target == u)
+        a._cache[key] = {q: i for i, q in enumerate(paths)}
+    return a._cache[key]
+
+
+def _summand_space(a: GentleAlgebra, v: str, u: str, injective: bool) -> dict[Path, int]:
+    """The path basis at u of I(v) (paths u ⇝ v) or of P(v) (paths v ⇝ u)."""
+    return _pair_space(a, v, u) if injective else _pair_space(a, u, v)
+
+
+def _dim(a: GentleAlgebra, vs: tuple[str, ...], u: str, injective: bool) -> int:
+    """The dimension at u of the sum of I(v) or of P(v) over ``vs``."""
+    return sum(len(_summand_space(a, v, u, injective)) for v in vs)
 
 
 # --- complexes ---------------------------------------------------------------
@@ -243,75 +124,8 @@ class RepComplex:
             for d in range(lo, hi + 1)) + ")"
 
 
-class ModuleComplex:
-    """A bounded complex of modules: a representation per degree and the
-    vertexwise matrices of the differentials.
-
-    The differentials are checked densely on construction: module
-    morphisms, d∘d = 0.  The Nakayama twist of a complex of projectives is
-    one, and projective replacement takes one.
-    """
-
-    def __init__(self, a: GentleAlgebra, terms: dict[int, Representation],
-                 diffs: dict[int, Morphism]):
-        self.a = a
-        self.terms = {d: t for d, t in terms.items() if t.total_dim > 0}
-        self.diffs = {d: f for d, f in diffs.items()
-                      if d in self.terms and d + 1 in self.terms}
-        self._support = (min(self.terms), max(self.terms)) if self.terms else None
-        self._check()
-
-    def support(self) -> tuple[int, int] | None:
-        return self._support
-
-    def term_dim(self, d: int, u: str) -> int:
-        return self.terms[d].dim(u) if d in self.terms else 0
-
-    def _check(self) -> None:
-        for d, f in self.diffs.items():
-            if not check_morphism(self.a, self.terms[d], self.terms[d + 1], f):
-                raise InternalCheckError(f"differential at degree {d} is not a morphism")
-            g = self.diffs.get(d + 1)
-            if g is not None and not all(linalg.is_zero_matrix(linalg.mat_mul(g[u], f[u]))
-                                         for u in self.a.vertices):
-                raise InternalCheckError(f"d∘d != 0 between degrees {d} and {d + 2}")
-
-
 def zero_complex(a: GentleAlgebra) -> RepComplex:
     return RepComplex(a, {}, {})
-
-
-def _direct_sum(a: GentleAlgebra, blocks: list[Representation]) -> Representation:
-    """The direct sum of representations, with block-diagonal arrow matrices."""
-    dims = {u: sum(b.dim(u) for b in blocks) for u in a.vertices}
-    action: dict[str, Matrix] = {}
-    for arr in a.arrows:
-        rows = [[ZERO] * dims[arr.source] for _ in range(dims[arr.target])]
-        r0 = c0 = 0
-        for b in blocks:
-            m = b.act(arr.name)
-            for i in range(b.dim(arr.target)):
-                rows[r0 + i][c0:c0 + b.dim(arr.source)] = m[i]
-            r0 += b.dim(arr.target)
-            c0 += b.dim(arr.source)
-        action[arr.name] = tuple(tuple(r) for r in rows)
-    return make_representation(a, dims, action)
-
-
-def _sum_of_projectives(a: GentleAlgebra, vs: tuple[str, ...]) -> Representation:
-    key = ("proj_sum", vs)
-    if key not in a._cache:
-        a._cache[key] = _direct_sum(a, [projective(a, v) for v in vs])
-    return a._cache[key]
-
-
-def _block_morphism(a: GentleAlgebra, blocks: list[list[Morphism]]) -> Morphism:
-    """The vertexwise matrices of a map between nonzero direct sums:
-    ``blocks[i][j]`` maps summand j of the source to summand i of the
-    target."""
-    return {u: tuple(tuple(x for f in row for x in f[u][r])
-                     for row in blocks for r in range(len(row[0][u])))
-            for u in a.vertices}
 
 
 def _assemble_projective_complex(a: GentleAlgebra,
@@ -432,76 +246,173 @@ def shift(c: RepComplex, t: int) -> RepComplex:
     return RepComplex(c.a, proj_terms, proj_diffs, shape)
 
 
-def nakayama_on_projectives(c: RepComplex) -> ModuleComplex:
-    """Replace every projective summand P(v) by I(v) and every differential
-    entry by its induced map between injectives."""
+class InjectiveComplex:
+    """The Nakayama twist of a complex of projectives: its presentation
+    read in injectives.
+
+    ``terms[d]`` lists the vertices v of the summands I(v) in degree d, and
+    ``diffs[d][i][j]`` is the path combination of the component from
+    summand j of degree d to summand i of degree d + 1, as in
+    ``RepComplex``.  A path p: w ⇝ v from I(v) to I(w) is ν of the right
+    multiplication P(v) -> P(w) by p: at a vertex u it strips p off a
+    basis path u ⇝ v as a suffix, and kills the paths that do not end in p.
+    """
+
+    def __init__(self, a: GentleAlgebra, terms: dict[int, tuple[str, ...]],
+                 diffs: dict[int, tuple[tuple[AlgElem, ...], ...]]):
+        self.a = a
+        self.terms = terms
+        self.diffs = diffs
+        self._support = (min(terms), max(terms)) if terms else None
+        self._columns: dict[tuple[int, str], list[SparseVector]] = {}
+
+    def support(self) -> tuple[int, int] | None:
+        return self._support
+
+    def term_dim(self, d: int, u: str) -> int:
+        return _dim(self.a, self.terms.get(d, ()), u, True)
+
+    def vertex_columns(self, d: int, u: str) -> list[SparseVector]:
+        """The differential from degree d at the vertex u: one sparse column
+        per basis path of degree d at u, summands in order, indexed by the
+        basis paths of degree d + 1 there."""
+        cols = self._columns.get((d, u))
+        if cols is not None:
+            return cols
+        a = self.a
+        targets = []
+        off = 0
+        for w in self.terms.get(d + 1, ()):
+            space = _pair_space(a, w, u)
+            targets.append((off, space, w))
+            off += len(space)
+        rows = self.diffs.get(d, ())
+        cols = []
+        for j, v in enumerate(self.terms.get(d, ())):
+            for q in _pair_space(a, v, u):
+                col: SparseVector = {}
+                for (base, space, w), row in zip(targets, rows):
+                    for p, x in row[j]:
+                        k = len(p.arrows)
+                        if k and q.arrows[-k:] != p.arrows:
+                            continue
+                        i = space.get(Path(u, q.arrows[:len(q.arrows) - k], w))
+                        if i is None:
+                            raise InternalCheckError(f"entry {p!r} is not a map I({v}) -> I({w})")
+                        col[base + i] = col.get(base + i, ZERO) + x
+                cols.append({i: x for i, x in col.items() if x})
+        self._columns[(d, u)] = cols
+        return cols
+
+
+def nakayama_on_projectives(c: RepComplex) -> InjectiveComplex:
+    """The Nakayama twist of a complex of projectives: every summand P(v)
+    read as I(v), every differential entry as its induced map."""
     if not isinstance(c, RepComplex):
         raise ValueError("complex does not carry a projective presentation")
-    a = c.a
-    inj_cache = {v: injective(a, v) for v in a.vertices}
-    terms = {d: _direct_sum(a, [inj_cache[v] for v in vs]) for d, vs in c.proj_terms.items()}
-    diffs = {d: _block_morphism(a, [[induced_injective_map(a, e, v, u)
-                                     for v, e in zip(c.proj_terms[d], row)]
-                                    for u, row in zip(c.proj_terms[d + 1], rows)])
-             for d, rows in c.proj_diffs.items()}
-    return ModuleComplex(a, terms, diffs)
+    return InjectiveComplex(c.a, c.proj_terms, c.proj_diffs)
 
 
 # --- projective replacement ---------------------------------------------------
+#
+# At degree d the replacement works in C^d ⊕ P^{d+1}, C the twist and P the
+# projectives built so far.  At a vertex u a vector is sparse over the basis
+# paths of its summands, those of C^d (paths u ⇝ v) before those of P^{d+1}
+# (paths w ⇝ u), each summand in presentation order and path-basis order.
 
-def _pair_act(C: Representation, P: Representation, arrow: Arrow, vec: Vector) -> Vector:
-    """An arrow acting on a vector (c, p) of C ⊕ P, part by part."""
-    n = C.dim(arrow.source)
-    return (linalg.mat_vec(C.act(arrow.name), vec[:n])
-            + linalg.mat_vec(P.act(arrow.name), vec[n:]))
+def _arrow_action(a: GentleAlgebra, v: str, arrow: Arrow, injective: bool) -> dict[int, int]:
+    """An arrow acting on the path basis of I(v) or of P(v): the index of
+    the image of each basis path at its source that it does not kill.  On
+    I(v) it drops a path's first arrow, when that is the arrow; on P(v) it
+    appends the arrow.  Distinct paths have distinct images."""
+    key = ("arrow_action", v, arrow.name, injective)
+    act = a._cache.get(key)
+    if act is None:
+        src = _summand_space(a, v, arrow.source, injective)
+        tgt = _summand_space(a, v, arrow.target, injective)
+        if injective:
+            act = {i: tgt[Path(arrow.target, q.arrows[1:], v)]
+                   for q, i in src.items() if q.arrows[:1] == (arrow.name,)}
+        else:
+            act = {i: tgt[p] for q, i in src.items()
+                   if (p := a.make_path(q.arrows + (arrow.name,))) is not None}
+        a._cache[key] = act
+    return act
 
 
-def _top_generators(a: GentleAlgebra, C: Representation, P: Representation,
-                    W: dict[str, list[Vector]]) -> list[tuple[str, Vector]]:
-    """Generators of the submodule W of C ⊕ P, one per dimension of its top.
+def _arrow_maps(a: GentleAlgebra, inj_vs: tuple[str, ...], proj_vs: tuple[str, ...]
+                ) -> dict[str, dict[int, int]]:
+    """Every arrow acting on the sum of I(v) over ``inj_vs`` and P(w) over
+    ``proj_vs``, as a map of basis indices at its source to basis indices
+    at its target."""
+    maps = {}
+    for arr in a.arrows:
+        m: dict[int, int] = {}
+        src = tgt = 0
+        for injective, vs in ((True, inj_vs), (False, proj_vs)):
+            for v in vs:
+                for i, k in _arrow_action(a, v, arr, injective).items():
+                    m[src + i] = tgt + k
+                src += len(_summand_space(a, v, arr.source, injective))
+                tgt += len(_summand_space(a, v, arr.target, injective))
+        maps[arr.name] = m
+    return maps
 
-    ``W[v]`` is a basis of W at v.  At each vertex the arrow images of W
-    into v span the radical there; the basis vectors of ``W[v]`` that the
-    echelon form stores after them complete a basis of W at v modulo its
-    radical.  The echelon spans exactly ``W[v]`` only when W is closed
-    under the arrows, which is checked.
+
+def _act(m: dict[int, int], vec: SparseVector) -> SparseVector:
+    return {m[i]: x for i, x in vec.items() if i in m}
+
+
+def _dense_rows(cols: list[SparseVector], n_rows: int) -> Matrix:
+    """Sparse columns as the row-major matrix the dense entry points take."""
+    return tuple(tuple(col.get(i, ZERO) for col in cols) for i in range(n_rows))
+
+
+def _top_generators(a: GentleAlgebra, maps: dict[str, dict[int, int]],
+                    W: dict[str, list[SparseVector]]) -> list[tuple[str, SparseVector]]:
+    """Generators of a submodule W, one per dimension of its top.
+
+    ``W[v]`` is a basis of W at v and ``maps`` the arrow action
+    (``_arrow_maps``).  At each vertex the arrow images of W into v span
+    the radical there; the basis vectors of ``W[v]`` that the echelon form
+    stores after them complete a basis of W at v modulo its radical.  The
+    echelon spans exactly ``W[v]`` only when W is closed under the arrows,
+    which is checked.
     """
     gens = []
     for v in a.vertices:
         ech = linalg.Echelon()
         for arr in a.in_arrows[v]:
             for vec in W[arr.source]:
-                ech.add({i: x for i, x in enumerate(_pair_act(C, P, arr, vec)) if x})
+                ech.add(_act(maps[arr.name], vec))
         for vec in W[v]:
-            if ech.add({i: x for i, x in enumerate(vec) if x}) is None:
+            if ech.add(vec) is None:
                 gens.append((v, vec))
         if len(ech) != len(W[v]):
             raise InternalCheckError("submodule vectors are not action-closed")
     return gens
 
 
-def _cols_to_matrix(cols: list[Vector], n_rows: int) -> Matrix:
-    return tuple(tuple(col[i] for col in cols) for i in range(n_rows))
+def perfect_replacement(c: InjectiveComplex, max_steps: int | None = None) -> RepComplex:
+    """A bounded complex of projectives quasi-isomorphic to the twist ``c``.
 
-
-def perfect_replacement(c: ModuleComplex, max_steps: int | None = None) -> RepComplex:
-    """A bounded complex of projectives quasi-isomorphic to ``c``.
-
-    Built from the top degree down, with P^d -> C^d and P^d -> P^{d+1}
-    read off the generators' images (the image of each basis path of a
-    generator's projective is an arrow applied to the image of its
-    prefix).  At each degree d the pairs
+    Built from the top degree down.  At each degree d the pairs
     W = {(c, p) in C^d ⊕ P^{d+1} : d_C c = ε p, d_P p = 0} form a submodule,
-    and P^d is its projective cover: one P(v) per top generator at v
-    (``_top_generators``), mapped onto W by the generator.  A surjection onto
-    W makes the comparison a quasi-isomorphism degree by degree; a
-    projective cover adds no contractible summand, so a minimal input comes
-    back with its own summands.  Below the support the loop runs a minimal
-    projective resolution of the remaining syzygy module, which terminates
-    exactly when the input is quasi-isomorphic to a bounded complex of
-    projectives; ``max_steps`` guards the loop.  Cohomology preservation is
-    checked on the result, by two independent engines: the Hom engine on
-    the output, dense ranks of the vertex matrices on the input.
+    the kernel at each vertex of (c, p) -> (d_C c - ε p, d_P p), which lands
+    in the coordinates of degree d + 1: there the column of a basis path of
+    P^{d+1} is its image under the generator, with the C part negated.  P^d
+    is the projective cover of W: one P(v) per top generator at v
+    (``_top_generators``), mapped onto W by the generator, and the image of
+    each basis path of P(v) is an arrow applied to the image of its prefix.
+    A surjection onto W makes the comparison a quasi-isomorphism degree by
+    degree; a projective cover adds no contractible summand, so a minimal
+    input comes back with its own summands.  Below the support the loop runs
+    a minimal projective resolution of the remaining syzygy module, which
+    terminates exactly when the input is quasi-isomorphic to a bounded
+    complex of projectives; ``max_steps`` guards the loop.  Cohomology
+    preservation is checked on the result, by two independent engines: the
+    Hom engine on the output, ranks of the suffix-stripping matrices on the
+    twist.
     """
     a = c.a
     sup = c.support()
@@ -509,15 +420,14 @@ def perfect_replacement(c: ModuleComplex, max_steps: int | None = None) -> RepCo
         return zero_complex(a)
     lo, hi = sup
     if max_steps is None:
-        total = sum(t.total_dim for t in c.terms.values())
-        max_steps = total + sum(projective(a, v).total_dim for v in a.vertices) + 16
+        total = sum(len(a.paths_into[v]) for vs in c.terms.values() for v in vs)
+        max_steps = total + a.dim + 16
 
-    zero = _sum_of_projectives(a, ())
     proj_terms: dict[int, tuple[str, ...]] = {}
     proj_diffs: dict[int, tuple[tuple[AlgElem, ...], ...]] = {}
-    proj_sums: dict[int, Representation] = {}
-    eps: dict[int, Morphism] = {}     # P^d -> C^d
-    dP: dict[int, Morphism] = {}      # P^d -> P^{d+1}
+    # degree d -> vertex u -> the image in C^d ⊕ P^{d+1} of each basis path
+    # of P^d at u, in the coordinates of degree d
+    images: dict[int, dict[str, list[SparseVector]]] = {}
 
     d = hi
     steps = 0
@@ -527,44 +437,31 @@ def perfect_replacement(c: ModuleComplex, max_steps: int | None = None) -> RepCo
             raise InternalCheckError("projective replacement did not terminate; "
                                      "input is not equivalent to a bounded complex "
                                      "of projectives")
-        C_d = c.terms.get(d, zero)
-        P_next = proj_sums.get(d + 1, zero)
-        C_up = c.terms.get(d + 1, zero)
-        W: dict[str, list[Vector]] = {}
+        C_d, P_next = c.terms.get(d, ()), proj_terms.get(d + 1, ())
+        up = images.get(d + 1, {})
+        W: dict[str, list[SparseVector]] = {}
         for u in a.vertices:
-            rows = []
-            dC = c.diffs[d][u] if d in c.diffs else linalg.zeros(C_up.dim(u), C_d.dim(u))
-            e_mat = eps[d + 1][u] if d + 1 in eps else linalg.zeros(C_up.dim(u), P_next.dim(u))
-            for i in range(C_up.dim(u)):
-                rows.append(tuple(dC[i]) + tuple(-x for x in e_mat[i]))
-            if d + 1 in dP:
-                for row in dP[d + 1][u]:
-                    rows.append((ZERO,) * C_d.dim(u) + tuple(row))
-            W[u], _ = linalg.nullspace(tuple(rows), n_cols=C_d.dim(u) + P_next.dim(u))
+            n_c = c.term_dim(d + 1, u)
+            cols = c.vertex_columns(d, u) + [{i: -x if i < n_c else x for i, x in img.items()}
+                                             for img in up.get(u, ())]
+            n_rows = n_c + _dim(a, proj_terms.get(d + 2, ()), u, False)
+            basis, _ = linalg.nullspace(_dense_rows(cols, n_rows), n_cols=len(cols))
+            W[u] = [{i: x for i, x in enumerate(vec) if x} for vec in basis]
         if d < lo and not any(W.values()):
             break
-        gens = _top_generators(a, C_d, P_next, W)
-        summands = tuple(v for v, _ in gens)
-        eps_cols: dict[str, list[Vector]] = {u: [] for u in a.vertices}
-        dp_cols: dict[str, list[Vector]] = {u: [] for u in a.vertices}
+        maps = _arrow_maps(a, C_d, P_next)
+        gens = _top_generators(a, maps, W)
+        at: dict[str, list[SparseVector]] = {u: [] for u in a.vertices}
         for v, gen in gens:
-            # by the arrows of the path from v; every prefix of a basis path
-            # is a basis path, and a shorter one comes first by length
-            images: dict[tuple[str, ...], Vector] = {}
-            for q in sorted(projective_basis(a, v), key=len):
-                images[q.arrows] = (_pair_act(C_d, P_next, a.arrow_map[q.arrows[-1]],
-                                              images[q.arrows[:-1]])
-                                    if q.arrows else gen)
-            for q in projective_basis(a, v):
-                img = images[q.arrows]
-                n = C_d.dim(q.target)
-                eps_cols[q.target].append(img[:n])
-                dp_cols[q.target].append(img[n:])
-        proj_terms[d] = summands
-        proj_diffs[d] = _generator_entries(a, gens, C_d, proj_terms.get(d + 1, ()))
-        proj_sums[d] = _sum_of_projectives(a, summands)
-        eps[d] = {u: _cols_to_matrix(eps_cols[u], C_d.dim(u)) for u in a.vertices}
-        dP[d] = {u: _cols_to_matrix(dp_cols[u], P_next.dim(u)) for u in a.vertices}
+            # path-basis order lists every basis path after its prefixes
+            by_path = {(): gen}
+            for q in a.paths_from[v]:
+                if q.arrows:
+                    by_path[q.arrows] = _act(maps[q.arrows[-1]], by_path[q.arrows[:-1]])
+                at[q.target].append(by_path[q.arrows])
+        proj_terms[d] = tuple(v for v, _ in gens)
+        proj_diffs[d] = _generator_entries(a, gens, C_d, P_next)
+        images[d] = at
         d -= 1
 
     from .hom import cohomology_dims     # imported here: hom imports this module
@@ -574,18 +471,20 @@ def perfect_replacement(c: ModuleComplex, max_steps: int | None = None) -> RepCo
     return out
 
 
-def _generator_entries(a: GentleAlgebra, gens: list[tuple[str, Vector]], C: Representation,
-                       tgt_vs: tuple[str, ...]) -> tuple[tuple[AlgElem, ...], ...]:
+def _generator_entries(a: GentleAlgebra, gens: list[tuple[str, SparseVector]],
+                       inj_vs: tuple[str, ...], tgt_vs: tuple[str, ...]
+                       ) -> tuple[tuple[AlgElem, ...], ...]:
     """Differential entries from the cover summands to the summands
     ``tgt_vs`` one degree up, read off the P part of each generator: at its
-    vertex v, the coordinates of each target summand P(u) are those of the
-    paths from u ending at v."""
+    vertex v, after the C part, the coordinates of each target summand P(u)
+    are those of its basis paths u ⇝ v."""
     rows: list[list[AlgElem]] = [[() for _ in gens] for _ in tgt_vs]
     for j, (v, gen) in enumerate(gens):
-        coords = iter(gen[C.dim(v):])
+        off = _dim(a, inj_vs, v, True)
         for i, u in enumerate(tgt_vs):
-            basis = [q for q in projective_basis(a, u) if q.target == v]
-            rows[i][j] = tuple((q, x) for q, x in zip(basis, coords) if x)
+            space = _pair_space(a, v, u)
+            rows[i][j] = tuple((q, x) for q, k in space.items() if (x := gen.get(off + k)))
+            off += len(space)
     return tuple(tuple(r) for r in rows)
 
 

@@ -19,7 +19,12 @@ A complex of projectives X at a vertex u is the Hom complex of the pair
 (P(u), X): its level d is X^d at u, in the path basis, and its boundary
 the differential there, since the stalk P(u) has none.  Cohomology
 (``cohomology_dims``) and the wire form (``complex_json``) are read off
-those pairs; no dense matrix is built for a complex of projectives.
+those pairs; no dense matrix is built for a complex of projectives.  The
+one other input of ``cohomology_dims`` is the Nakayama twist of
+``gentle.complexes``, whose vertexwise differentials strip a path off as
+a suffix; it is ranked there by ``linalg.rank``, independently of the Hom
+engine, which is what lets projective replacement check that it keeps
+cohomology.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ from fractions import Fraction
 
 from . import linalg
 from .linalg import ZERO, ONE
-from .complexes import AlgElem, ModuleComplex, RepComplex, _elem_combine, _elem_mul
+from .complexes import (AlgElem, InjectiveComplex, RepComplex, _dense_rows, _elem_combine,
+                        _elem_mul, _pair_space)
 from .presentation import GentleAlgebra, InternalCheckError, Path
 
 # A map X -> Y[n] on the presentations: (degree d, summand of X^d, summand
@@ -55,16 +61,6 @@ class GradedHomProfile:
 
     def __repr__(self):
         return "HomProfile(" + ", ".join(f"[{i}]:{d}" for i, d in self.dims if d) + ")"
-
-
-def _pair_space(a: GentleAlgebra, u: str, v: str) -> dict[Path, int]:
-    """The path basis of Hom(P(u), P(v)), each path with its position: the
-    paths q in P(v) ending at u, where q is the image of the generator e_u."""
-    key = ("pair_space", u, v)
-    if key not in a._cache:
-        paths = (q for q in a.paths_from[v] if q.target == u)
-        a._cache[key] = {q: i for i, q in enumerate(paths)}
-    return a._cache[key]
 
 
 def _coords_in(a: GentleAlgebra, elem: AlgElem, u: str, v: str
@@ -349,10 +345,10 @@ def complex_json(c: RepComplex) -> dict:
     return {"terms": terms, "diff": diff}
 
 
-def cohomology_dims(c: RepComplex | ModuleComplex) -> dict[int, dict[str, int]]:
+def cohomology_dims(c: RepComplex | InjectiveComplex) -> dict[int, dict[str, int]]:
     """Vertexwise cohomology dimensions in every degree of the support: of a
-    complex of projectives as dim Hom(P(u), X[d]), of a module complex from
-    its term dimensions and the ranks of its vertexwise differentials."""
+    complex of projectives as dim Hom(P(u), X[d]), of a Nakayama twist from
+    its term dimensions and the ranks of its suffix-stripping matrices."""
     sup = c.support()
     if sup is None:
         return {}
@@ -361,7 +357,8 @@ def cohomology_dims(c: RepComplex | ModuleComplex) -> dict[int, dict[str, int]]:
         pairs = _vertex_pairs(c)
         dims = {(d, u): pairs[u].hom_dim(d) for d in degrees for u in vertices}
     else:
-        ranks = {(d, u): linalg.rank(m) for d, f in c.diffs.items() for u, m in f.items()}
+        ranks = {(d, u): linalg.rank(_dense_rows(c.vertex_columns(d, u), c.term_dim(d + 1, u)))
+                 for d in c.diffs for u in vertices}
         dims = {(d, u): c.term_dim(d, u) - ranks.get((d, u), 0) - ranks.get((d - 1, u), 0)
                 for d in degrees for u in vertices}
     out: dict[int, dict[str, int]] = {}

@@ -2,7 +2,7 @@
 
 A sparse vector is a dict {index: value} of its nonzero entries.  Values
 are Python ints, or ``Fraction``s where a rational coefficient puts one
-there (a band scalar p/q, an entry of a module matrix).  ``Echelon`` is the
+there (a band scalar p/q, a coefficient of a differential entry).  ``Echelon`` is the
 one elimination engine.  Each vector entering it is first cleared of
 denominators, which changes neither its span nor any rank, and is then
 reduced fraction-free over the integers against the stored echelon
@@ -17,19 +17,20 @@ lower bound over Q), and no division of two ints is ever taken with ``/``.
 The Hom complex of ``gentle.hom`` and the cover generators of projective
 replacement feed sparse vectors to the core directly.  The dense entry
 points ``rank``, ``nullspace``, ``solve`` and ``rref`` take row-major
-matrices (tuples of rows of ``Fraction``) and serve the module matrices of
-projective replacement and of the Nakayama twist, whose vertexwise
-differentials are ranked for cohomology, through the same core; they
+matrices (tuples of rows of ``Fraction``) and run on the same core; they
 clear denominators row by row, which keeps the row space and the kernel.
-Replaying every module-matrix call of one pass of each benchmark workload
-(mostly matrices of at most 2 x 2; CPython 3.11 on a 2-core host) took 7%
-less time on the core than on the dense ``Fraction`` elimination it
-replaced: 16% less for ``nullspace``, the same for ``rank``.  That dense
-elimination is kept as the test oracle.  ``solve`` and ``rref`` have no
-caller in the package; they stay as tested public entry points, and the
-benchmark's layer tracer (``bench/tracer.py``) lists both by name.  The
-remaining helpers are the dense matrix arithmetic that building and
-checking representations and their morphisms needs.
+The package builds no module matrix: projective replacement hands
+``nullspace`` the rows of the map whose kernel it covers at each vertex,
+and ``cohomology_dims`` hands ``rank`` the vertexwise differentials of
+the Nakayama twist, both in path coordinates.  Replaying every dense call
+of one pass of each benchmark workload (mostly matrices of at most 2 x 2;
+CPython 3.11 on a 2-core host) took 7% less time on the core than on the
+dense ``Fraction`` elimination it replaced: 16% less for ``nullspace``,
+the same for ``rank``.  That dense elimination is kept as the test oracle.  ``solve``
+and ``rref`` have no caller in the package; they stay as tested public
+entry points, and the benchmark's layer tracer (``bench/tracer.py``)
+lists both by name, as it sizes ``rank`` and ``nullspace`` by the rows
+and columns of their first argument.
 """
 
 from __future__ import annotations
@@ -44,71 +45,6 @@ Vector = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def zeros(m: int, n: int) -> Matrix:
-    row = (ZERO,) * n
-    return tuple(row for _ in range(m))
-
-
-def shape(a: Matrix) -> tuple[int, int]:
-    return (len(a), len(a[0]) if a else 0)
-
-
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    """Entrywise equality, padding width mismatches with zeros.
-
-    Products through a zero space legitimately lose their column count; any
-    entry beyond a collapsed width is exactly zero, so padding is sound.
-    """
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a, b):
-        n = max(len(ra), len(rb))
-        for j in range(n):
-            xa = ra[j] if j < len(ra) else ZERO
-            xb = rb[j] if j < len(rb) else ZERO
-            if xa != xb:
-                return False
-    return True
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    m = len(a)
-    n = len(b[0]) if b else 0
-    k = len(b)
-    if a and len(a[0]) != k:
-        raise ValueError(f"shape mismatch: {shape(a)} * {shape(b)}")
-    rows = []
-    for i in range(m):
-        arow = a[i]
-        out = [ZERO] * n
-        for t in range(k):
-            x = arow[t]
-            if x == 0:
-                continue
-            brow = b[t]
-            for j in range(n):
-                y = brow[j]
-                if y != 0:
-                    out[j] += x * y
-        rows.append(tuple(out))
-    return tuple(rows)
-
-
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    out = [ZERO] * len(a)
-    for j, x in enumerate(v):
-        if x:
-            for i, row in enumerate(a):
-                y = row[j]
-                if y:
-                    out[i] += x * y
-    return tuple(out)
 
 
 # --- the elimination core -----------------------------------------------------

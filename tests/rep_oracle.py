@@ -1,4 +1,4 @@
-"""Reference Hom engine at the representation layer.
+"""Reference engines at the representation layer.
 
 Module morphisms are nullspaces of the commutation constraints over the
 rationals, and the graded Hom complex of a pair of complexes is assembled
@@ -14,24 +14,29 @@ oracle works on, and ``dense_boundary`` gives the engine's sparse boundary
 columns as a dense matrix.  Its linear algebra is the dense ``Fraction``
 elimination below (``dense_rref`` and what is built on it), not the sparse
 integer core of ``gentle.linalg``, which the tests also check against it.
-"""
 
+The module layer holds representations (``Representation``, the standard
+modules ``projective`` and ``injective``, ``Morphism``), module complexes
+(``ModuleComplex``, checked densely: module morphisms, d∘d = 0) and the
+dense Serre route on them: ``nakayama_on_projectives`` builds the twist of
+a complex of projectives as a module complex of injectives, and
+``perfect_replacement`` covers a module complex by projectives with dense
+block products.  The package computes both on path coordinates
+(``gentle.complexes``); the tests compare the two presentation for
+presentation.  The dense replacement finds its kernels by the dense
+elimination, and its cover generators by an echelon form of the core
+(``linalg.Echelon``), as the package does.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from gentle import linalg
-from gentle.complexes import (AlgElem, ModuleComplex, Morphism, RepComplex, Representation,
-                              _block_morphism, _sum_of_projectives, check_morphism,
-                              make_representation, projective, projective_basis)
-from gentle.hom import HomPair
-from gentle.linalg import ONE, ZERO, Matrix
-from gentle.presentation import GentleAlgebra, InternalCheckError
-
-# A chain map X -> Y[n] is a dict degree -> Morphism X^d -> Y^{d+n}.
-ChainMap = dict[int, Morphism]
-
+from gentle.complexes import AlgElem, RepComplex, _assemble_projective_complex, zero_complex
+from gentle.hom import HomPair, cohomology_dims
+from gentle.linalg import ONE, ZERO, Matrix, Vector
+from gentle.presentation import Arrow, GentleAlgebra, InternalCheckError, Path
 
 # --- dense Fraction elimination ------------------------------------------------
 
@@ -102,7 +107,448 @@ def dense_solve(a: Matrix, b: tuple[Fraction, ...]) -> tuple[Fraction, ...] | No
     return tuple(x)
 
 
+# --- the module layer: representations, the dense twist and replacement ---------
+
+def zeros(m: int, n: int) -> Matrix:
+    row = (ZERO,) * n
+    return tuple(row for _ in range(m))
+
+
+def shape(a: Matrix) -> tuple[int, int]:
+    return (len(a), len(a[0]) if a else 0)
+
+
+def is_zero_matrix(a: Matrix) -> bool:
+    return all(x == 0 for row in a for x in row)
+
+
+def mat_eq(a: Matrix, b: Matrix) -> bool:
+    """Entrywise equality, padding width mismatches with zeros.
+
+    Products through a zero space legitimately lose their column count; any
+    entry beyond a collapsed width is exactly zero, so padding is sound.
+    """
+    if len(a) != len(b):
+        return False
+    for ra, rb in zip(a, b):
+        n = max(len(ra), len(rb))
+        for j in range(n):
+            xa = ra[j] if j < len(ra) else ZERO
+            xb = rb[j] if j < len(rb) else ZERO
+            if xa != xb:
+                return False
+    return True
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    m = len(a)
+    n = len(b[0]) if b else 0
+    k = len(b)
+    if a and len(a[0]) != k:
+        raise ValueError(f"shape mismatch: {shape(a)} * {shape(b)}")
+    rows = []
+    for i in range(m):
+        arow = a[i]
+        out = [ZERO] * n
+        for t in range(k):
+            x = arow[t]
+            if x == 0:
+                continue
+            brow = b[t]
+            for j in range(n):
+                y = brow[j]
+                if y != 0:
+                    out[j] += x * y
+        rows.append(tuple(out))
+    return tuple(rows)
+
+
+def mat_vec(a: Matrix, v: Vector) -> Vector:
+    out = [ZERO] * len(a)
+    for j, x in enumerate(v):
+        if x:
+            for i, row in enumerate(a):
+                y = row[j]
+                if y:
+                    out[i] += x * y
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class Representation:
+    """A finite-dimensional module: dims per vertex, a matrix per arrow."""
+
+    dims: tuple[tuple[str, int], ...]
+    action: tuple[tuple[str, Matrix], ...]
+
+    def _tables(self):
+        cached = self.__dict__.get("_lookup")
+        if cached is None:
+            cached = (dict(self.dims), dict(self.action))
+            self.__dict__["_lookup"] = cached
+        return cached
+
+    def dim(self, v: str) -> int:
+        return self._tables()[0].get(v, 0)
+
+    def act(self, arrow: str) -> Matrix:
+        return self._tables()[1][arrow]
+
+    @property
+    def total_dim(self) -> int:
+        return sum(d for _, d in self.dims)
+
+    def __repr__(self):
+        inside = ", ".join(f"{v}:{d}" for v, d in self.dims if d)
+        return f"Rep({inside})"
+
+
+def make_representation(a: GentleAlgebra, dims: dict[str, int],
+                        action: dict[str, Matrix]) -> Representation:
+    """Build and check a representation (shapes, relations acting by zero)."""
+    filled = {}
+    for arr in a.arrows:
+        want = (dims.get(arr.target, 0), dims.get(arr.source, 0))
+        m = action.get(arr.name)
+        if m is None or want[0] == 0:
+            m = zeros(*want)
+        rows, cols = shape(m)
+        if rows != want[0] or (rows > 0 and cols != want[1]):
+            raise ValueError(f"matrix for {arr.name} has shape {(rows, cols)}, wanted {want}")
+        filled[arr.name] = m
+    for (first, second) in a.relations:
+        if not is_zero_matrix(mat_mul(filled[second], filled[first])):
+            raise ValueError(f"relation {second}∘{first} does not act by zero")
+    return Representation(tuple((v, dims.get(v, 0)) for v in a.vertices),
+                          tuple((arr.name, filled[arr.name]) for arr in a.arrows))
+
+
+# Morphisms of representations are plain dicts vertex -> Matrix.
+Morphism = dict[str, Matrix]
+
+
+def check_morphism(a: GentleAlgebra, src: Representation, tgt: Representation,
+                   f: Morphism) -> bool:
+    return all(mat_eq(mat_mul(f[arr.target], src.act(arr.name)),
+                             mat_mul(tgt.act(arr.name), f[arr.source]))
+               for arr in a.arrows)
+
+
+# --- the standard modules ----------------------------------------------------
+
+def projective_basis(a: GentleAlgebra, v: str) -> tuple[Path, ...]:
+    """Paths starting at v, in path-basis order; they span P(v)."""
+    return a.paths_from[v]
+
+
+def injective_basis(a: GentleAlgebra, v: str) -> tuple[Path, ...]:
+    """Paths ending at v; their dual functionals span I(v)."""
+    return a.paths_into[v]
+
+
+def projective(a: GentleAlgebra, v: str) -> Representation:
+    key = ("proj", v)
+    if key in a._cache:
+        return a._cache[key]
+    basis = projective_basis(a, v)
+    by_vertex = {u: [q for q in basis if q.target == u] for u in a.vertices}
+    dims = {u: len(by_vertex[u]) for u in a.vertices}
+    action = {}
+    for arr in a.arrows:
+        src_list, tgt_list = by_vertex[arr.source], by_vertex[arr.target]
+        pos = {q: i for i, q in enumerate(tgt_list)}
+        m = [[ZERO] * len(src_list) for _ in tgt_list]
+        for j, q in enumerate(src_list):
+            image = a.make_path(q.arrows + (arr.name,), at_vertex=v)
+            if image is not None and image in pos:
+                m[pos[image]][j] = ONE
+        action[arr.name] = tuple(tuple(row) for row in m)
+    rep = make_representation(a, dims, action)
+    a._cache[key] = rep
+    return rep
+
+
+def injective(a: GentleAlgebra, v: str) -> Representation:
+    key = ("inj", v)
+    if key in a._cache:
+        return a._cache[key]
+    basis = injective_basis(a, v)
+    by_vertex = {u: [q for q in basis if q.source == u] for u in a.vertices}
+    dims = {u: len(by_vertex[u]) for u in a.vertices}
+    action = {}
+    for arr in a.arrows:
+        src_list, tgt_list = by_vertex[arr.source], by_vertex[arr.target]
+        pos = {q: i for i, q in enumerate(tgt_list)}
+        m = [[ZERO] * len(src_list) for _ in tgt_list]
+        for j, q in enumerate(src_list):
+            # the functional dual to q pushes forward by dropping q's first arrow
+            if q.arrows and q.arrows[0] == arr.name:
+                image = Path(arr.target, q.arrows[1:], v)
+                if image in pos:
+                    m[pos[image]][j] = ONE
+        action[arr.name] = tuple(tuple(row) for row in m)
+    rep = make_representation(a, dims, action)
+    a._cache[key] = rep
+    return rep
+
+
+def induced_injective_map(a: GentleAlgebra, elem: AlgElem, src_vertex: str,
+                          tgt_vertex: str) -> Morphism:
+    """The map I(src_vertex) -> I(tgt_vertex) induced by the same multiplier.
+
+    The functional dual to a path p maps to the functional dual to p with the
+    multiplier cancelled off its final arrows, when it divides.
+    """
+    src_by = {u: [q for q in injective_basis(a, src_vertex) if q.source == u]
+              for u in a.vertices}
+    tgt_by = {u: [q for q in injective_basis(a, tgt_vertex) if q.source == u]
+              for u in a.vertices}
+    out: Morphism = {}
+    for u in a.vertices:
+        cols, rows_basis = src_by[u], tgt_by[u]
+        pos = {q: i for i, q in enumerate(rows_basis)}
+        m = [[ZERO] * len(cols) for _ in rows_basis]
+        for j, q in enumerate(cols):
+            for p, c in elem:
+                k = len(p.arrows)
+                if k == 0:
+                    image = Path(q.source, q.arrows, tgt_vertex)
+                elif k <= len(q.arrows) and q.arrows[-k:] == p.arrows:
+                    image = Path(q.source, q.arrows[:-k], tgt_vertex)
+                else:
+                    continue
+                if image in pos:
+                    m[pos[image]][j] += c
+        out[u] = tuple(tuple(row) for row in m)
+    return out
+
+
+class ModuleComplex:
+    """A bounded complex of modules: a representation per degree and the
+    vertexwise matrices of the differentials.
+
+    The differentials are checked densely on construction: module
+    morphisms, d∘d = 0.  The Nakayama twist of a complex of projectives is
+    one, and projective replacement takes one.
+    """
+
+    def __init__(self, a: GentleAlgebra, terms: dict[int, Representation],
+                 diffs: dict[int, Morphism]):
+        self.a = a
+        self.terms = {d: t for d, t in terms.items() if t.total_dim > 0}
+        self.diffs = {d: f for d, f in diffs.items()
+                      if d in self.terms and d + 1 in self.terms}
+        self._support = (min(self.terms), max(self.terms)) if self.terms else None
+        self._check()
+
+    def support(self) -> tuple[int, int] | None:
+        return self._support
+
+    def term_dim(self, d: int, u: str) -> int:
+        return self.terms[d].dim(u) if d in self.terms else 0
+
+    def _check(self) -> None:
+        for d, f in self.diffs.items():
+            if not check_morphism(self.a, self.terms[d], self.terms[d + 1], f):
+                raise InternalCheckError(f"differential at degree {d} is not a morphism")
+            g = self.diffs.get(d + 1)
+            if g is not None and not all(is_zero_matrix(mat_mul(g[u], f[u]))
+                                         for u in self.a.vertices):
+                raise InternalCheckError(f"d∘d != 0 between degrees {d} and {d + 2}")
+
+
+def _direct_sum(a: GentleAlgebra, blocks: list[Representation]) -> Representation:
+    """The direct sum of representations, with block-diagonal arrow matrices."""
+    dims = {u: sum(b.dim(u) for b in blocks) for u in a.vertices}
+    action: dict[str, Matrix] = {}
+    for arr in a.arrows:
+        rows = [[ZERO] * dims[arr.source] for _ in range(dims[arr.target])]
+        r0 = c0 = 0
+        for b in blocks:
+            m = b.act(arr.name)
+            for i in range(b.dim(arr.target)):
+                rows[r0 + i][c0:c0 + b.dim(arr.source)] = m[i]
+            r0 += b.dim(arr.target)
+            c0 += b.dim(arr.source)
+        action[arr.name] = tuple(tuple(r) for r in rows)
+    return make_representation(a, dims, action)
+
+
+def _sum_of_projectives(a: GentleAlgebra, vs: tuple[str, ...]) -> Representation:
+    key = ("proj_sum", vs)
+    if key not in a._cache:
+        a._cache[key] = _direct_sum(a, [projective(a, v) for v in vs])
+    return a._cache[key]
+
+
+def _block_morphism(a: GentleAlgebra, blocks: list[list[Morphism]]) -> Morphism:
+    """The vertexwise matrices of a map between nonzero direct sums:
+    ``blocks[i][j]`` maps summand j of the source to summand i of the
+    target."""
+    return {u: tuple(tuple(x for f in row for x in f[u][r])
+                     for row in blocks for r in range(len(row[0][u])))
+            for u in a.vertices}
+
+
+def nakayama_on_projectives(c: RepComplex) -> ModuleComplex:
+    """Replace every projective summand P(v) by I(v) and every differential
+    entry by its induced map between injectives."""
+    if not isinstance(c, RepComplex):
+        raise ValueError("complex does not carry a projective presentation")
+    a = c.a
+    inj_cache = {v: injective(a, v) for v in a.vertices}
+    terms = {d: _direct_sum(a, [inj_cache[v] for v in vs]) for d, vs in c.proj_terms.items()}
+    diffs = {d: _block_morphism(a, [[induced_injective_map(a, e, v, u)
+                                     for v, e in zip(c.proj_terms[d], row)]
+                                    for u, row in zip(c.proj_terms[d + 1], rows)])
+             for d, rows in c.proj_diffs.items()}
+    return ModuleComplex(a, terms, diffs)
+
+
+def _pair_act(C: Representation, P: Representation, arrow: Arrow, vec: Vector) -> Vector:
+    """An arrow acting on a vector (c, p) of C ⊕ P, part by part."""
+    n = C.dim(arrow.source)
+    return (mat_vec(C.act(arrow.name), vec[:n])
+            + mat_vec(P.act(arrow.name), vec[n:]))
+
+
+def _top_generators(a: GentleAlgebra, C: Representation, P: Representation,
+                    W: dict[str, list[Vector]]) -> list[tuple[str, Vector]]:
+    """Generators of the submodule W of C ⊕ P, one per dimension of its top.
+
+    ``W[v]`` is a basis of W at v.  At each vertex the arrow images of W
+    into v span the radical there; the basis vectors of ``W[v]`` that the
+    echelon form stores after them complete a basis of W at v modulo its
+    radical.  The echelon spans exactly ``W[v]`` only when W is closed
+    under the arrows, which is checked.
+    """
+    gens = []
+    for v in a.vertices:
+        ech = linalg.Echelon()
+        for arr in a.in_arrows[v]:
+            for vec in W[arr.source]:
+                ech.add({i: x for i, x in enumerate(_pair_act(C, P, arr, vec)) if x})
+        for vec in W[v]:
+            if ech.add({i: x for i, x in enumerate(vec) if x}) is None:
+                gens.append((v, vec))
+        if len(ech) != len(W[v]):
+            raise InternalCheckError("submodule vectors are not action-closed")
+    return gens
+
+
+def _cols_to_matrix(cols: list[Vector], n_rows: int) -> Matrix:
+    return tuple(tuple(col[i] for col in cols) for i in range(n_rows))
+
+
+def perfect_replacement(c: ModuleComplex, max_steps: int | None = None) -> RepComplex:
+    """A bounded complex of projectives quasi-isomorphic to ``c``.
+
+    Built from the top degree down, with P^d -> C^d and P^d -> P^{d+1}
+    read off the generators' images (the image of each basis path of a
+    generator's projective is an arrow applied to the image of its
+    prefix).  At each degree d the pairs
+    W = {(c, p) in C^d ⊕ P^{d+1} : d_C c = ε p, d_P p = 0} form a submodule,
+    and P^d is its projective cover: one P(v) per top generator at v
+    (``_top_generators``), mapped onto W by the generator.  A surjection onto
+    W makes the comparison a quasi-isomorphism degree by degree; a
+    projective cover adds no contractible summand, so a minimal input comes
+    back with its own summands.  Below the support the loop runs a minimal
+    projective resolution of the remaining syzygy module, which terminates
+    exactly when the input is quasi-isomorphic to a bounded complex of
+    projectives; ``max_steps`` guards the loop.  Cohomology preservation is
+    checked on the result, by two independent engines: the Hom engine on
+    the output, dense ranks of the vertex matrices on the input.
+    """
+    a = c.a
+    sup = c.support()
+    if sup is None:
+        return zero_complex(a)
+    lo, hi = sup
+    if max_steps is None:
+        total = sum(t.total_dim for t in c.terms.values())
+        max_steps = total + sum(projective(a, v).total_dim for v in a.vertices) + 16
+
+    zero = _sum_of_projectives(a, ())
+    proj_terms: dict[int, tuple[str, ...]] = {}
+    proj_diffs: dict[int, tuple[tuple[AlgElem, ...], ...]] = {}
+    proj_sums: dict[int, Representation] = {}
+    eps: dict[int, Morphism] = {}     # P^d -> C^d
+    dP: dict[int, Morphism] = {}      # P^d -> P^{d+1}
+
+    d = hi
+    steps = 0
+    while True:
+        steps += 1
+        if steps > max_steps:
+            raise InternalCheckError("projective replacement did not terminate; "
+                                     "input is not equivalent to a bounded complex "
+                                     "of projectives")
+        C_d = c.terms.get(d, zero)
+        P_next = proj_sums.get(d + 1, zero)
+        C_up = c.terms.get(d + 1, zero)
+        W: dict[str, list[Vector]] = {}
+        for u in a.vertices:
+            rows = []
+            dC = c.diffs[d][u] if d in c.diffs else zeros(C_up.dim(u), C_d.dim(u))
+            e_mat = eps[d + 1][u] if d + 1 in eps else zeros(C_up.dim(u), P_next.dim(u))
+            for i in range(C_up.dim(u)):
+                rows.append(tuple(dC[i]) + tuple(-x for x in e_mat[i]))
+            if d + 1 in dP:
+                for row in dP[d + 1][u]:
+                    rows.append((ZERO,) * C_d.dim(u) + tuple(row))
+            W[u], _ = dense_nullspace(tuple(rows), n_cols=C_d.dim(u) + P_next.dim(u))
+        if d < lo and not any(W.values()):
+            break
+        gens = _top_generators(a, C_d, P_next, W)
+        summands = tuple(v for v, _ in gens)
+        eps_cols: dict[str, list[Vector]] = {u: [] for u in a.vertices}
+        dp_cols: dict[str, list[Vector]] = {u: [] for u in a.vertices}
+        for v, gen in gens:
+            # by the arrows of the path from v; every prefix of a basis path
+            # is a basis path, and a shorter one comes first by length
+            images: dict[tuple[str, ...], Vector] = {}
+            for q in sorted(projective_basis(a, v), key=len):
+                images[q.arrows] = (_pair_act(C_d, P_next, a.arrow_map[q.arrows[-1]],
+                                              images[q.arrows[:-1]])
+                                    if q.arrows else gen)
+            for q in projective_basis(a, v):
+                img = images[q.arrows]
+                n = C_d.dim(q.target)
+                eps_cols[q.target].append(img[:n])
+                dp_cols[q.target].append(img[n:])
+        proj_terms[d] = summands
+        proj_diffs[d] = _generator_entries(a, gens, C_d, proj_terms.get(d + 1, ()))
+        proj_sums[d] = _sum_of_projectives(a, summands)
+        eps[d] = {u: _cols_to_matrix(eps_cols[u], C_d.dim(u)) for u in a.vertices}
+        dP[d] = {u: _cols_to_matrix(dp_cols[u], P_next.dim(u)) for u in a.vertices}
+        d -= 1
+
+    out = _assemble_projective_complex(a, proj_terms, proj_diffs)
+    if cohomology_dims(out) != dense_cohomology(c):
+        raise InternalCheckError("replacement changed cohomology dimensions")
+    return out
+
+
+def _generator_entries(a: GentleAlgebra, gens: list[tuple[str, Vector]], C: Representation,
+                       tgt_vs: tuple[str, ...]) -> tuple[tuple[AlgElem, ...], ...]:
+    """Differential entries from the cover summands to the summands
+    ``tgt_vs`` one degree up, read off the P part of each generator: at its
+    vertex v, the coordinates of each target summand P(u) are those of the
+    paths from u ending at v."""
+    rows: list[list[AlgElem]] = [[() for _ in gens] for _ in tgt_vs]
+    for j, (v, gen) in enumerate(gens):
+        coords = iter(gen[C.dim(v):])
+        for i, u in enumerate(tgt_vs):
+            basis = [q for q in projective_basis(a, u) if q.target == v]
+            rows[i][j] = tuple((q, x) for q, x in zip(basis, coords) if x)
+    return tuple(tuple(r) for r in rows)
+
+
 # --- dense matrices, modules and morphisms --------------------------------------
+
+# A chain map X -> Y[n] is a dict degree -> Morphism X^d -> Y^{d+n}.
+ChainMap = dict[int, Morphism]
+
 
 def identity(n: int) -> Matrix:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
@@ -122,16 +568,16 @@ def simple(a: GentleAlgebra, v: str) -> Representation:
 
 
 def zero_morphism(a: GentleAlgebra, src: Representation, tgt: Representation) -> Morphism:
-    return {v: linalg.zeros(tgt.dim(v), src.dim(v)) for v in a.vertices}
+    return {v: zeros(tgt.dim(v), src.dim(v)) for v in a.vertices}
 
 
 def morphism_is_zero(f: Morphism) -> bool:
-    return all(linalg.is_zero_matrix(m) for m in f.values())
+    return all(is_zero_matrix(m) for m in f.values())
 
 
 def compose_morphisms(a: GentleAlgebra, f: Morphism, g: Morphism) -> Morphism:
     """g∘f, vertexwise."""
-    return {v: linalg.mat_mul(g[v], f[v]) for v in a.vertices}
+    return {v: mat_mul(g[v], f[v]) for v in a.vertices}
 
 
 def scale_morphism(c, f: Morphism) -> Morphism:
@@ -453,7 +899,7 @@ class RepHomPair:
             fd1 = f.get(d + 1, zero_morphism(a, _term(X, d + 1), _term(Y, d + n + 1)))
             lhs = compose_morphisms(a, _diff(X, d), fd1)
             rhs = scale_morphism(sign, compose_morphisms(a, fd, _diff(Y, d + n)))
-            if not all(linalg.mat_eq(lhs[v], rhs[v]) for v in a.vertices):
+            if not all(mat_eq(lhs[v], rhs[v]) for v in a.vertices):
                 return False
         return True
 

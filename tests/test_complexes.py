@@ -9,14 +9,15 @@ from fractions import Fraction
 import pytest
 
 import rep_oracle
-from gentle import (cohomology_dims, injective, iso_indecomposable, minimize,
-                    nakayama_on_projectives, parse_word, perfect_replacement,
-                    projective, shift, trivial_string, unfold_band, unfold_string)
-from gentle.complexes import (ModuleComplex, RepComplex, _assemble_projective_complex,
-                              _sum_of_projectives, _top_generators)
-from gentle.exceptional import _summand_signature, enumerate_strings
-from gentle.linalg import ONE, mat_eq
+from gentle import (cohomology_dims, iso_indecomposable, minimize, nakayama_on_projectives,
+                    parse_word, perfect_replacement, shift, trivial_string, unfold_band,
+                    unfold_string)
+from gentle.complexes import (RepComplex, _arrow_maps, _assemble_projective_complex,
+                              _dense_rows, _top_generators)
+from gentle.exceptional import _summand_signature, enumerate_strings, mouth_objects
+from gentle.linalg import ONE
 from gentle.presentation import InternalCheckError
+from rep_oracle import injective, mat_eq, projective
 
 
 def dims_of(rep):
@@ -123,19 +124,26 @@ def test_shift_conventions(algebras, acceptance_corpus):
             assert cohomology_dims(Y) == rep_oracle.dense_cohomology(dense), (X, t)
 
 
-def test_presentation_path_builds_no_module_matrices(algebras, monkeypatch):
+def test_presentation_path_builds_no_module_matrices(algebras):
     # unfolding, suspension, minimization, Hom, the combinatorial bases, the
-    # isomorphism test, cohomology and the wire form read presentations
-    # only: every builder of a module or of a vertex matrix refuses
+    # isomorphism test, cohomology, the wire form, the Nakayama twist and
+    # projective replacement read presentations only: the package holds no
+    # builder of a module, of a vertex matrix or of dense matrix products
+    import gentle
     import gentle.complexes
+    import gentle.linalg
     from gentle import HomPair, alp_basis
     from gentle.hom import complex_json
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("module layer built on the presentation path")
-    for name in ("_sum_of_projectives", "_block_morphism", "make_representation",
-                 "projective", "check_morphism"):
-        monkeypatch.setattr(gentle.complexes, name, refuse)
+    for name in ("Representation", "make_representation", "Morphism", "check_morphism",
+                 "projective", "injective", "induced_injective_map", "_direct_sum",
+                 "_sum_of_projectives", "_block_morphism", "ModuleComplex", "_pair_act",
+                 "_cols_to_matrix"):
+        assert not hasattr(gentle.complexes, name), name
+    for name in ("zeros", "shape", "is_zero_matrix", "mat_eq", "mat_mul", "mat_vec"):
+        assert not hasattr(gentle.linalg, name), name
+    for name in ("ModuleComplex", "Representation", "injective", "projective"):
+        assert not hasattr(gentle, name), name
     for name, band, mu in (("pent", "band: d^-1, e^-1, f^-1, c, b, a", 1),
                            ("kronecker", "band: b^-1, a", 2)):
         a = algebras[name]
@@ -147,6 +155,7 @@ def test_presentation_path_builds_no_module_matrices(algebras, monkeypatch):
                 assert iso_indecomposable(X, Y) == (Y.support() == X.support()), (X, Y)
             cohomology_dims(X)
             complex_json(X)
+            perfect_replacement(nakayama_on_projectives(X))
         for X in strings:
             for Y in strings[:6]:
                 alp_basis(X, Y)
@@ -160,11 +169,28 @@ def test_unfold_with_base_index_suspends(algebras):
     assert X2.support() == (X0.support()[0] + 2, X0.support()[1] + 2)
 
 
+def _twist_against_the_oracle(X):
+    """The twist of X and the oracle's dense twist, checked to agree: the
+    presentation is X's, and the term dimensions, the suffix-stripping
+    matrices and the cohomology at every vertex are the dense ones."""
+    N, dense = nakayama_on_projectives(X), rep_oracle.nakayama_on_projectives(X)
+    assert (N.terms, N.diffs) == (X.proj_terms, X.proj_diffs)
+    for d in N.terms:
+        for u in X.a.vertices:
+            assert N.term_dim(d, u) == dense.term_dim(d, u), (X, d, u)
+            if d in N.diffs:
+                rows = _dense_rows(N.vertex_columns(d, u), N.term_dim(d + 1, u))
+                assert mat_eq(rows, dense.diffs[d][u]), (X, d, u)
+    assert cohomology_dims(N) == rep_oracle.dense_cohomology(dense), X
+    return N, dense
+
+
 def test_nakayama_stalk(algebras):
     a = algebras["a2"]
     X = unfold_string(a, trivial_string(a, "2"), 0)
-    N = nakayama_on_projectives(X)
-    assert dims_of(N.terms[0]) == dims_of(injective(a, "2"))
+    N, dense = _twist_against_the_oracle(X)
+    assert dims_of(dense.terms[0]) == dims_of(injective(a, "2"))
+    assert {u: N.term_dim(0, u) for u in a.vertices} == {"1": 1, "2": 1}
 
 
 def test_nakayama_identity_component_stays_identity(algebras):
@@ -172,18 +198,18 @@ def test_nakayama_identity_component_stays_identity(algebras):
     triv = a.trivial_path("1")
     C = _assemble_projective_complex(
         a, {0: ("1",), 1: ("1",)}, {0: ((((triv, Fraction(1)),),),)})
-    N = nakayama_on_projectives(C)
-    n = N.terms[0].dim("1")
-    assert N.diffs[0]["1"] == tuple(tuple(1 if i == j else 0 for j in range(n))
-                                    for i in range(n))
+    N, dense = _twist_against_the_oracle(C)
+    n = N.term_dim(0, "1")
+    assert _dense_rows(N.vertex_columns(0, "1"), n) == tuple(
+        tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def test_nakayama_a2_arrow_complex(algebras):
     a = algebras["a2"]
     X = unfold_string(a, parse_word(a, "a"), 0)
-    N = nakayama_on_projectives(X)
-    assert dims_of(N.terms[-1]) == dims_of(injective(a, "2"))
-    assert dims_of(N.terms[0]) == dims_of(injective(a, "1"))
+    N, dense = _twist_against_the_oracle(X)
+    assert dims_of(dense.terms[-1]) == dims_of(injective(a, "2"))
+    assert dims_of(dense.terms[0]) == dims_of(injective(a, "1"))
     assert cohomology_dims(N) == {-1: {"2": 1}}    # kernel is the simple at the sink
 
 
@@ -198,7 +224,7 @@ def test_nakayama_needs_presentation(algebras):
 def test_replacement_of_projective_complex_is_isomorphic(algebras):
     a = algebras["dual_numbers"]
     X = unfold_string(a, parse_word(a, "x, x"), 0)
-    R = perfect_replacement(rep_oracle.dense_complex(X))
+    R = rep_oracle.perfect_replacement(rep_oracle.dense_complex(X))
     assert iso_indecomposable(minimize(R), X)
 
 
@@ -239,24 +265,38 @@ def test_replacement_of_a_minimal_complex_keeps_its_summands(algebras, acceptanc
     cases.append(unfold_band(k, parse_word(k, "band: b^-1, a"), 0, 2))
     assert len(cases) == 953
     for X in cases:
-        R = perfect_replacement(rep_oracle.dense_complex(X))
+        R = rep_oracle.perfect_replacement(rep_oracle.dense_complex(X))
         assert _summand_signature(R) == _summand_signature(X), X
 
 
 def test_top_generators_of_a_projective_and_a_non_closed_submodule(algebras):
     a = algebras["a2"]                  # a: 1 -> 2
-    P1, zero = projective(a, "1"), _sum_of_projectives(a, ())
-    assert _top_generators(a, P1, zero, {"1": [(ONE,)], "2": [(ONE,)]}) == [("1", (ONE,))]
-    # the top of P(1) alone is not closed: its image under a lies outside
-    with pytest.raises(InternalCheckError, match="action-closed"):
-        _top_generators(a, P1, zero, {"1": [(ONE,)], "2": []})
+    # I(2), the twist of the stalk P(2), and P(1) are the same module, with
+    # the path a as basis at 1 and the trivial path at 2; the first arrow
+    # of a is dropped on I(2) and a is appended to e_1 on P(1)
+    for maps in (_arrow_maps(a, ("2",), ()), _arrow_maps(a, (), ("1",))):
+        assert maps == {"a": {0: 0}}
+        top = {0: ONE}
+        assert _top_generators(a, maps, {"1": [top], "2": [{0: ONE}]}) == [("1", top)]
+        # the top alone is not closed: its image under a lies outside
+        with pytest.raises(InternalCheckError, match="action-closed"):
+            _top_generators(a, maps, {"1": [top], "2": []})
 
 
 def test_replacement_of_a_non_perfect_complex_stops(algebras):
     # the simple over the dual numbers has an infinite projective resolution
     a = algebras["dual_numbers"]
+    simple = rep_oracle.ModuleComplex(a, {0: rep_oracle.simple(a, "1")}, {})
     with pytest.raises(InternalCheckError, match="did not terminate"):
-        perfect_replacement(ModuleComplex(a, {0: rep_oracle.simple(a, "1")}, {}))
+        rep_oracle.perfect_replacement(simple)
+    # on a twist the bound guards the loop: the simple I(1) over A2 needs the
+    # covers P(1) and P(2) and a third step that finds nothing left to cover
+    a = algebras["a2"]
+    N = nakayama_on_projectives(unfold_string(a, trivial_string(a, "1"), 0))
+    for steps in (1, 2):
+        with pytest.raises(InternalCheckError, match="did not terminate"):
+            perfect_replacement(N, max_steps=steps)
+    assert perfect_replacement(N, max_steps=3).proj_terms == {-1: ("2",), 0: ("1",)}
 
 
 def test_replacement_checks_cohomology(algebras, monkeypatch):
@@ -265,7 +305,47 @@ def test_replacement_checks_cohomology(algebras, monkeypatch):
     monkeypatch.setattr(gentle.complexes, "_top_generators", lambda *args: [])
     a = algebras["a2"]
     with pytest.raises(InternalCheckError, match="changed cohomology"):
-        perfect_replacement(rep_oracle.dense_complex(unfold_string(a, parse_word(a, "a"), 0)))
+        perfect_replacement(nakayama_on_projectives(unfold_string(a, parse_word(a, "a"), 0)))
+
+
+def _serre_cases(algebras, search_corpus, seed):
+    """A seeded sample of complexes of every kind the Serre route meets:
+    strings of at most 3 letters on the large search algebra, the
+    acceptance search corpus and the invariants corpus, fixture strings of
+    at most 4 letters at shifts 0 and 1, bands at three scalars and three
+    shifts, and mouth objects."""
+    from gentle.randomgen import random_corpus, random_gentle
+    rng = random.Random(seed)
+    invariants = random_corpus(5000, 50, max_vertices=10)
+    cases = []
+    for a in [random_gentle(647, max_vertices=8)] + search_corpus + rng.sample(invariants, 5):
+        words = enumerate_strings(a, 3)
+        cases += [unfold_string(a, w, 0) for w in rng.sample(words, min(10, len(words)))]
+    for a in algebras.values():
+        words = enumerate_strings(a, 4)
+        for w in rng.sample(words, min(6, len(words))):
+            X = unfold_string(a, w, 0)
+            cases += [X, shift(X, 1)]
+    for name, band in (("kronecker", "band: b^-1, a"),
+                       ("pent", "band: d^-1, e^-1, f^-1, c, b, a")):
+        a = algebras[name]
+        for mu in (1, 2, Fraction(-3, 2)):
+            X = unfold_band(a, parse_word(a, band), 0, mu)
+            cases += [X, shift(X, 1), shift(X, -2)]
+    for a in rng.sample(invariants, 5):
+        cases += [m.complex for m in mouth_objects(a)]
+    return cases
+
+
+def test_serre_replacement_matches_the_dense_oracle(algebras, search_corpus):
+    # the replacement on path coordinates gives the dense replacement of the
+    # dense twist, presentation for presentation, and the twist's
+    # suffix-stripping cohomology is the dense cohomology
+    cases = _serre_cases(algebras, search_corpus, 19)
+    for X in cases:
+        N, dense = _twist_against_the_oracle(X)
+        R, ref = perfect_replacement(N), rep_oracle.perfect_replacement(dense)
+        assert (R.proj_terms, R.proj_diffs) == (ref.proj_terms, ref.proj_diffs), X
 
 
 def test_unfold_string_and_inverse_isomorphic(algebras):

@@ -169,9 +169,21 @@ def test_search_matches_classifier_on_fixtures(algebras):
 
 
 def test_search_a3_fixtures(algebras):
-    for name in ["a3_relation", "a3_hereditary"]:
-        found = brute_force_search(algebras[name])
-        assert sorted(c.n for c in found) == [2, 4]
+    # the paper's A3 exception: besides the mouth 4-cycle of the AG orbit
+    # (4, 2), the search finds one 2-cycle whose entries are not at the mouth
+    off_mouth = {"a3_hereditary": ("b*a^-1", "triv:2:+1"), "a3_relation": ("a^-1", "b^-1")}
+    for name, pair in off_mouth.items():
+        a = algebras[name]
+        assert [(o.n, o.m) for o in ag_invariants(a)] == [(4, 2)], name
+        mouth = {word_key(m.word) for m in mouth_objects(a)}
+        found = brute_force_search(a)
+        assert sorted(c.n for c in found) == [2, 4], name
+        [four] = [c for c in found if c.n == 4]
+        [two] = [c for c in found if c.n == 2]
+        assert all(word_key(w) in mouth for w, _ in four.entries), (name, four)
+        keys = [word_key(w) for w, _ in two.entries]
+        assert keys == [word_key(parse_word(a, expr)) for expr in pair], (name, two)
+        assert not mouth & set(keys), (name, two)
 
 
 def test_search_dual_numbers_only_the_stalk(algebras):

@@ -226,12 +226,12 @@ def test_path_basis_spans_projective_homs(acceptance_corpus):
     # Hom(P(u), P(v)) is spanned by right multiplication with the paths
     # v ~> u: as many as the nullspace of the commutation constraints has
     # dimensions, each inside it, independent
-    from gentle import linalg, projective
-    from gentle.hom import _pair_space
+    from gentle import linalg
+    from gentle.complexes import _pair_space
     for a in acceptance_corpus:
         for u in a.vertices:
             for v in a.vertices:
-                pu, pv = projective(a, u), projective(a, v)
+                pu, pv = rep_oracle.projective(a, u), rep_oracle.projective(a, v)
                 space = rep_oracle.hom_space(a, pu, pv)
                 paths = list(_pair_space(a, u, v))
                 assert len(paths) == len(space.basis), (a, u, v)
