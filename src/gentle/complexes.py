@@ -13,8 +13,10 @@ through the dual of its right multiplication.  Projective replacement
 covers it by projectives degree by degree on sparse vectors in path
 coordinates: at a vertex u, I(v) has the paths u ⇝ v as basis and P(w)
 the paths w ⇝ u, both read off the one cached lookup ``_pair_space``.  No
-module is built; the only matrices are the dense rows that the
-elimination entry points ``linalg.nullspace`` and ``linalg.rank`` take.
+module is built: the kernels that the replacement covers come from
+``linalg.kernel`` on sparse columns, and the only matrices are the dense
+rows (``_dense_rows``) that ``hom.cohomology_dims`` hands ``linalg.rank``
+for the twist.
 
 Words unfold into complexes along their positions: a direct letter q gives
 a component from the projective at its end vertex to the one at its start
@@ -444,9 +446,7 @@ def perfect_replacement(c: InjectiveComplex, max_steps: int | None = None) -> Re
             n_c = c.term_dim(d + 1, u)
             cols = c.vertex_columns(d, u) + [{i: -x if i < n_c else x for i, x in img.items()}
                                              for img in up.get(u, ())]
-            n_rows = n_c + _dim(a, proj_terms.get(d + 2, ()), u, False)
-            basis, _ = linalg.nullspace(_dense_rows(cols, n_rows), n_cols=len(cols))
-            W[u] = [{i: x for i, x in enumerate(vec) if x} for vec in basis]
+            W[u] = linalg.kernel(cols)[0]
         if d < lo and not any(W.values()):
             break
         maps = _arrow_maps(a, C_d, P_next)

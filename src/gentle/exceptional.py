@@ -289,30 +289,27 @@ def verify_cycle(a: GentleAlgebra, entries: list[tuple[Word, int]]) -> CycleCert
 
     For length one the conditions collapse to: graded endomorphisms of
     rank one in degree 0 and one other degree d (rank two in degree 0 when
-    d = 0), and the Serre twist matching the suspension by d.
+    d = 0), and the Serre twist matching the suspension by d.  E1 is read
+    off the member screen ``_member_profile_of``: for length one it holds
+    on every member profile but {0: 1}, for longer cycles entry 0 needs
+    exactly {0: 1}.  The full graded profile is computed only for the note
+    of a failure.
     """
     n = len(entries)
     if n == 0:
         raise ValueError("empty candidate")
     cxs = [entry_complex(a, w, s) for w, s in entries]
+    member = _member_profile_of(a, cxs[0])
     if n == 1:
         E = cxs[0]
-        prof = graded_profile(E, E).nonzero()
-        d = None
-        if prof == {0: 2}:
-            d = 0
-        elif len(prof) == 2 and prof.get(0) == 1:
-            other = next(k for k in prof if k != 0)
-            if prof[other] == 1:
-                d = other
-        e1 = d is not None
+        e1 = member is not None and member != {0: 1}
+        d = next((t for t in member if t), 0) if e1 else None
         e2 = e1 and identify_shift(a, serre_image(a, E), E) == d
-        note = "" if e1 else f"graded endomorphisms {prof}"
+        note = "" if e1 else f"graded endomorphisms {graded_profile(E, E).nonzero()}"
         return CycleCertificate(e1, e2, True, None, d if (e1 and e2) else None, note)
 
-    prof_11 = graded_profile(cxs[0], cxs[0]).nonzero()
-    e1 = prof_11 == {0: 1}
-    notes = [] if e1 else [f"graded endomorphisms {prof_11}"]
+    e1 = member == {0: 1}
+    notes = [] if e1 else [f"graded endomorphisms {graded_profile(cxs[0], cxs[0]).nonzero()}"]
     shifts: list[int] = []
     e2 = True
     for i in range(n):

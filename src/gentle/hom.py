@@ -42,6 +42,10 @@ from .presentation import GentleAlgebra, InternalCheckError, Path
 # of Y^{d+n}) -> the path combination of that component.
 PathMap = dict[tuple[int, int, int], AlgElem]
 
+# The blocks of one level of a HomPair: the same keys as a PathMap -> the
+# block's offset in the level and its path basis.
+_Blocks = dict[tuple[int, int, int], tuple[int, dict[Path, int]]]
+
 
 @dataclass(frozen=True)
 class GradedHomProfile:
@@ -99,16 +103,15 @@ def _compose_table_right(a: GentleAlgebra, elem: AlgElem, up: str, u: str, v: st
     return a._cache[key]
 
 
-def _scatter(cols: list[dict[int, int | Fraction]], table, block, base: int, sign: int) -> None:
+def _scatter(cols: list[dict[int, int | Fraction]], table, block, sign: int) -> None:
     """Write sign times one composition table into the columns of a block,
-    at the target block ``block`` (offset, basis) of a level starting at
-    ``base``; a composite landing where the target level has no block is an
-    internal error."""
+    at the target block ``block`` (offset, basis) of the next level; a
+    composite landing where that level has no block is an internal error."""
     if block is None:
         if any(table):
             raise InternalCheckError("boundary image at a vanished slot")
         return
-    base += block[0]
+    base = block[0]
     for col, coords in zip(cols, table):
         for i, x in coords:
             col[base + i] = x if sign > 0 else -x
@@ -133,15 +136,18 @@ class HomPair:
     dY∘f - (-1)^n f∘dX.  Kernel mod image at level n is Hom(X, Y[n]) in the
     homotopy category.  Both complexes are read on their projective
     presentations: a level splits into blocks between single projectives,
-    each with the path basis of ``_pair_space``, and the boundary is read
-    off the memoized products of those paths with the differential
-    entries, one table per block and entry, as sparse integer columns
-    (``boundary_columns``).  Each level's columns and their echelon form
-    are built once per pair, so ``profile`` and repeated ``hom_dim`` calls
-    rank every level once, and every null-homotopy test at a level reduces
-    against the same echelon form.  Maps are ``PathMap``s:
-    ``path_chain_maps`` gives a basis of the chain maps at a
-    level and ``is_null_homotopic`` tests one.
+    each with the path basis of ``_pair_space``.  One record per level
+    (``_level``) holds its dimension and its blocks, keyed by (degree, X
+    summand, Y summand) with their offsets across the level; the level's
+    dimension, its columns, and the translation of maps to coordinates and
+    back all read it.  The boundary is read off the memoized products of
+    the block paths with the differential entries, one table per block and
+    entry, as sparse integer columns (``boundary_columns``).  Each level's
+    record, columns and echelon form are built once per pair, so
+    ``profile`` and repeated ``hom_dim`` calls rank every level once, and
+    every null-homotopy test at a level reduces against the same echelon
+    form.  Maps are ``PathMap``s: ``path_chain_maps`` gives a basis of the
+    chain maps at a level and ``is_null_homotopic`` tests one.
     """
 
     def __init__(self, X: RepComplex, Y: RepComplex):
@@ -157,44 +163,33 @@ class HomPair:
             self.window = (0, -1)     # empty
         else:
             self.window = (sy[0] - sx[1], sy[1] - sx[0])
-        self._levels: dict[int, list[tuple[int, int]]] = {}
-        # (d, n) -> ordered [(k, l, offset, path basis)] and a lookup by (k, l)
-        self._blocks: dict[tuple[int, int], list[tuple[int, int, int, dict[Path, int]]]] = {}
-        self._block_index: dict[tuple[int, int], dict[tuple[int, int], tuple[int, dict[Path, int]]]] = {}
+        self._levels: dict[int, tuple[int, _Blocks]] = {}
         self._columns: dict[int, list[dict[int, int | Fraction]]] = {}
         self._spans: dict[int, linalg.Echelon] = {}
 
-    # -- level bookkeeping ---------------------------------------------------
-    def _slot_dim(self, d: int, n: int) -> int:
-        blocks: list[tuple[int, int, int, dict[Path, int]]] = []
-        index: dict[tuple[int, int], tuple[int, dict[Path, int]]] = {}
-        off = 0
-        for k, u in enumerate(self.X.proj_terms[d]):
-            for l, v in enumerate(self.Y.proj_terms[d + n]):
-                space = _pair_space(self.a, u, v)
-                if space:
-                    blocks.append((k, l, off, space))
-                    index[(k, l)] = (off, space)
-                    off += len(space)
-        self._blocks[(d, n)] = blocks
-        self._block_index[(d, n)] = index
-        return off
-
-    def _level_slots(self, n: int) -> list[tuple[int, int]]:
-        """(degree, basis size) pairs for level n, in degree order."""
-        if n in self._levels:
-            return self._levels[n]
-        slots = []
-        for d in sorted(self.X.proj_terms):
-            if d + n in self.Y.proj_terms:
-                dim = self._slot_dim(d, n)
-                if dim:
-                    slots.append((d, dim))
-        self._levels[n] = slots
-        return slots
+    # -- levels ----------------------------------------------------------------
+    def _level(self, n: int) -> tuple[int, _Blocks]:
+        """The basis of level n, built once: its dimension and its blocks,
+        (d, k, l) -> (offset in the level, path basis of Hom(P(u), P(v)))
+        for the summands u of X^d and v of Y^{d+n}, in basis order: degree,
+        then X summand, then Y summand.  A pair without paths has no block."""
+        level = self._levels.get(n)
+        if level is None:
+            blocks: _Blocks = {}
+            off = 0
+            for d in sorted(self.X.proj_terms):
+                y_terms = self.Y.proj_terms.get(d + n, ())
+                for k, u in enumerate(self.X.proj_terms[d]):
+                    for l, v in enumerate(y_terms):
+                        space = _pair_space(self.a, u, v)
+                        if space:
+                            blocks[(d, k, l)] = (off, space)
+                            off += len(space)
+            level = self._levels[n] = (off, blocks)
+        return level
 
     def level_dim(self, n: int) -> int:
-        return sum(k for _, k in self._level_slots(n))
+        return self._level(n)[0]
 
     # -- boundary ------------------------------------------------------------
     def boundary_columns(self, n: int) -> list[dict[int, int | Fraction]]:
@@ -204,43 +199,32 @@ class HomPair:
             return self._columns[n]
         a = self.a
         X, Y = self.X, self.Y
-        tgt_offsets = self._target_offsets(n + 1)
+        targets = self._level(n + 1)[1]
         sign = -1 if n % 2 == 0 else 1       # of the f∘dX term, -(-1)^n
         columns: list[dict[int, int | Fraction]] = []
-        for d, _ in self._level_slots(n):
-            x_terms, y_terms = X.proj_terms[d], Y.proj_terms[d + n]
-            dY, dX = Y.proj_diffs.get(d + n), X.proj_diffs.get(d - 1)
-            up_index = self._block_index.get((d, n + 1), {}) if d in tgt_offsets else {}
-            dn_index = self._block_index.get((d - 1, n + 1), {}) if d - 1 in tgt_offsets else {}
-            for k, l, _, space in self._blocks[(d, n)]:
-                u, v = x_terms[k], y_terms[l]
-                # the dY∘f part lands in degree d, the f∘dX part in degree
-                # d-1, each target summand in its own block: every row of a
-                # column is written at most once
-                cols: list[dict[int, int | Fraction]] = [{} for _ in space]
-                if dY is not None:
-                    y_next = Y.proj_terms[d + n + 1]
-                    for lp, row in enumerate(dY):
-                        if row[l]:
-                            _scatter(cols, _compose_table_left(a, row[l], u, v, y_next[lp]),
-                                     up_index.get((k, lp)), tgt_offsets.get(d, 0), 1)
-                if dX is not None:
-                    x_prev = X.proj_terms[d - 1]
-                    for kp, elem in enumerate(dX[k]):
-                        if elem:
-                            _scatter(cols, _compose_table_right(a, elem, x_prev[kp], u, v),
-                                     dn_index.get((kp, l)), tgt_offsets.get(d - 1, 0), sign)
-                columns.extend(cols)
+        for (d, k, l), (_, space) in self._level(n)[1].items():
+            u, v = X.proj_terms[d][k], Y.proj_terms[d + n][l]
+            # the dY∘f part lands in degree d, the f∘dX part in degree d-1,
+            # each target summand in its own block: every row of a column
+            # is written at most once
+            cols: list[dict[int, int | Fraction]] = [{} for _ in space]
+            dY = Y.proj_diffs.get(d + n)
+            if dY is not None:
+                y_next = Y.proj_terms[d + n + 1]
+                for lp, row in enumerate(dY):
+                    if row[l]:
+                        _scatter(cols, _compose_table_left(a, row[l], u, v, y_next[lp]),
+                                 targets.get((d, k, lp)), 1)
+            dX = X.proj_diffs.get(d - 1)
+            if dX is not None:
+                x_prev = X.proj_terms[d - 1]
+                for kp, elem in enumerate(dX[k]):
+                    if elem:
+                        _scatter(cols, _compose_table_right(a, elem, x_prev[kp], u, v),
+                                 targets.get((d - 1, kp, l)), sign)
+            columns.extend(cols)
         self._columns[n] = columns
         return columns
-
-    def _target_offsets(self, n: int) -> dict[int, int]:
-        offsets: dict[int, int] = {}
-        off = 0
-        for d, k in self._level_slots(n):
-            offsets[d] = off
-            off += k
-        return offsets
 
     def _span(self, n: int) -> linalg.Echelon:
         """Echelon form of the columns of boundary level n, built once."""
@@ -279,27 +263,23 @@ class HomPair:
 
     def _path_map(self, n: int, vec) -> PathMap:
         out: PathMap = {}
-        off = 0
-        for d, k in self._level_slots(n):
-            for kk, l, o, space in self._blocks[(d, n)]:
-                coords = vec[off + o: off + o + len(space)]
-                elem = tuple((p, x) for p, x in zip(space, coords) if x)
-                if elem:
-                    out[(d, kk, l)] = elem
-            off += k
+        for key, (off, space) in self._level(n)[1].items():
+            elem = tuple((p, x) for p, x in zip(space, vec[off: off + len(space)]) if x)
+            if elem:
+                out[key] = elem
         return out
 
     def _path_coords(self, n: int, f: PathMap) -> tuple[Fraction, ...]:
         """Coordinates of a map given on presentations in the level basis."""
-        offsets = self._target_offsets(n)
-        out = [ZERO] * self.level_dim(n)
-        for (d, k, l), elem in f.items():
-            block = self._block_index.get((d, n), {}).get((k, l))
+        dim, blocks = self._level(n)
+        out = [ZERO] * dim
+        for key, elem in f.items():
+            block = blocks.get(key)
             if block is None or any(p not in block[1] for p, _ in elem):
-                raise ValueError(f"component {(d, k, l)} is not a map in level {n} of this pair")
-            base, space = offsets[d] + block[0], block[1]
+                raise ValueError(f"component {key} is not a map in level {n} of this pair")
+            off, space = block
             for p, x in elem:
-                out[base + space[p]] += x
+                out[off + space[p]] += x
         return tuple(out)
 
     def is_null_homotopic(self, f: PathMap, n: int = 0) -> bool:

@@ -14,23 +14,16 @@ kernel vectors and solutions are read off such relations as ``Fraction``s.
 Nothing here uses floats or modular arithmetic (a rank mod p is only a
 lower bound over Q), and no division of two ints is ever taken with ``/``.
 
-The Hom complex of ``gentle.hom`` and the cover generators of projective
-replacement feed sparse vectors to the core directly.  The dense entry
-points ``rank``, ``nullspace``, ``solve`` and ``rref`` take row-major
-matrices (tuples of rows of ``Fraction``) and run on the same core; they
-clear denominators row by row, which keeps the row space and the kernel.
-The package builds no module matrix: projective replacement hands
-``nullspace`` the rows of the map whose kernel it covers at each vertex,
-and ``cohomology_dims`` hands ``rank`` the vertexwise differentials of
-the Nakayama twist, both in path coordinates.  Replaying every dense call
-of one pass of each benchmark workload (mostly matrices of at most 2 x 2;
-CPython 3.11 on a 2-core host) took 7% less time on the core than on the
-dense ``Fraction`` elimination it replaced: 16% less for ``nullspace``,
-the same for ``rank``.  That dense elimination is kept as the test oracle.  ``solve``
-and ``rref`` have no caller in the package; they stay as tested public
-entry points, and the benchmark's layer tracer (``bench/tracer.py``)
-lists both by name, as it sizes ``rank`` and ``nullspace`` by the rows
-and columns of their first argument.
+The Hom complex of ``gentle.hom`` and projective replacement feed sparse
+vectors to the core directly, through ``Echelon`` and ``kernel``.  The
+dense entry points ``rank``, ``nullspace``, ``solve`` and ``rref`` take
+row-major matrices (tuples of rows of ``Fraction``) and are thin adapters
+over the same core: ``rank`` adds the rows to an ``Echelon``, the other
+three read their results off ``kernel`` of the columns.  They are kept
+because the tests and the benchmark's layer tracer (``bench/tracer.py``)
+name them; the package's only dense call is ``rank`` in
+``hom.cohomology_dims``, on the vertexwise differentials of the Nakayama
+twist.
 """
 
 from __future__ import annotations
@@ -127,11 +120,7 @@ class Echelon:
         without, an empty dict.  Otherwise the reduced vector is stored and
         None returned."""
         v, s = _integral(vec)
-        return self._insert(v, {label: s} if self._track else None)
-
-    def _insert(self, v: dict[int, int], c: dict[int, int] | None) -> dict[int, int] | None:
-        """``add`` for an int vector that the engine may consume, whose
-        combination of the inputs is c."""
+        c = {label: s} if self._track else None
         if self._pivots:
             v, c = self._reduce(v, c)
         if not v:
@@ -177,95 +166,61 @@ def kernel(columns: Sequence[Mapping[int, int | Fraction]]
 
 # --- dense entry points ---------------------------------------------------------
 
-def _int_row(row) -> dict[int, int]:
-    """``_integral`` for a dense row, without the multiplier: a positive
-    multiple of a row changes no row space, rank or kernel."""
-    s = 1
-    for x in row:
-        d = x.denominator
-        if d != 1 and s % d:
-            s = s // gcd(s, d) * d
-    if s == 1:
-        return {j: n for j, x in enumerate(row) if (n := x.numerator)}
-    return {j: n * (s // x.denominator) for j, x in enumerate(row) if (n := x.numerator)}
-
-
-def _int_columns(a, n_cols: int) -> list[dict[int, int]]:
-    """The columns of a dense matrix after clearing each row's denominators."""
-    cols: list[dict[int, int]] = [{} for _ in range(n_cols)]
+def _columns(a, n: int) -> list[dict[int, Fraction]]:
+    """The n columns of a dense matrix, sparse."""
+    cols: list[dict[int, Fraction]] = [{} for _ in range(n)]
     for i, row in enumerate(a):
-        for j, x in _int_row(row).items():
-            cols[j][i] = x
+        for j, x in enumerate(row):
+            if x:
+                cols[j][i] = x
     return cols
 
 
 def rank(a: Matrix) -> int:
-    """Rank of a dense matrix, eliminating its rows."""
-    if not a or not a[0]:
-        return 0
+    """Rank of a dense matrix: the rows added to an ``Echelon``."""
     ech = Echelon()
     for row in a:
-        ech._insert(_int_row(row), None)
+        ech.add(dict(enumerate(row)))
     return len(ech)
 
 
 def nullspace(a: Matrix, n_cols: int | None = None) -> tuple[list[Vector], list[int]]:
-    """Basis of the right kernel of ``a``.
-
-    Returns (basis, free_columns).  Basis vector k has entry 1 at
-    free_columns[k] and 0 at the other free columns, so coordinates of any
-    kernel vector can be read off at the free columns.
-    """
+    """Basis of the right kernel of ``a``, dense, and its free columns, read
+    off ``kernel`` of the columns: basis vector k is 1 at free[k] and 0 at
+    the other free columns."""
     if n_cols is None:
         n_cols = len(a[0]) if a else 0
-    basis, free = kernel(_int_columns(a, n_cols))
+    basis, free = kernel(_columns(a, n_cols))
     return [tuple(v.get(j, ZERO) for j in range(n_cols)) for v in basis], free
 
 
 def solve(a: Matrix, b: Vector) -> Vector | None:
-    """One solution of a x = b, or None if inconsistent; the entries at the
+    """One solution of a x = b, or None if inconsistent: minus the kernel
+    vector of (a | b) that is 1 at b's column, so its entries at the
     columns dependent on earlier ones are 0."""
     n = len(a[0]) if a else 0
-    ech = Echelon(track=True)
-    for j, col in enumerate(_int_columns([tuple(r) + (y,) for r, y in zip(a, b)], n + 1)):
-        rel = ech._insert(col, {j: 1})
-    if rel is None:
+    basis, free = kernel(_columns([tuple(r) + (y,) for r, y in zip(a, b)], n + 1))
+    if not free or free[-1] != n:
         return None
-    cb = rel[n]
-    return tuple(Fraction(-rel[j], cb) if j in rel else ZERO for j in range(n))
+    return tuple(-basis[-1].get(j, ZERO) for j in range(n))
 
 
 def rref(a: Matrix) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices).
 
     All ``len(a)`` rows are returned, the pivot rows first, in pivot order,
-    then zero rows."""
+    then zero rows.  The pivots are the independent columns; at a dependent
+    column j the entries are minus the pivot entries of the kernel vector
+    that is 1 at j."""
     n = len(a[0]) if a else 0
-    ech = Echelon()
-    for row in a:
-        ech._insert(_int_row(row), None)
-    pivots = ech._pivots
+    basis, free = kernel(_columns(a, n))
+    dependent = set(free)
+    slot = {p: k for k, p in enumerate(j for j in range(n) if j not in dependent)}
     rows = [[ZERO] * n for _ in a]
-    reduced: list[tuple[int, dict[int, int | Fraction]]] = []
-    for k in range(len(pivots) - 1, -1, -1):
-        # the rows below k are reduced and vanish at each other's pivots;
-        # v is this local engine's own row, reduced in place
-        p = pivots[k]
-        v = ech._rows[p][0]
-        y = v[p]
-        if y != 1:
-            v = {i: Fraction(z, y) for i, z in v.items()}
-        for q, rq in reduced:
-            x = v.get(q)
-            if x:
-                for i, z in rq.items():
-                    w = v.get(i, 0) - x * z
-                    if w:
-                        v[i] = w
-                    else:
-                        del v[i]
-        reduced.append((p, v))
-        row = rows[k]
-        for i, x in v.items():
-            row[i] = Fraction(x)
-    return rows, list(pivots)
+    for p, k in slot.items():
+        rows[k][p] = ONE
+    for j, v in zip(free, basis):
+        for p, x in v.items():
+            if p != j:
+                rows[slot[p]][j] = -x
+    return rows, list(slot)

@@ -391,3 +391,33 @@ def test_identify_shift_memo_matches_uncached_engine(monkeypatch):
                 monkeypatch.undo()
                 assert calls == [], "suspensions of a known pair re-ran the isomorphism test"
     assert None in verdicts and any(v is not None for v in verdicts)
+
+
+def _e1_rule(prof, n):
+    """E1 on the self-Hom profile of entry 0: for one entry rank one in
+    degree 0 and one other degree, or rank two in degree 0 alone; for more,
+    rank one in degree 0 alone."""
+    if n == 1:
+        return prof == {0: 2} or (len(prof) == 2 and prof.get(0) == 1
+                                  and set(prof.values()) == {1})
+    return prof == {0: 1}
+
+
+def test_e1_is_read_off_the_member_screen(algebras):
+    # verify_cycle reads E1 off _member_profile_of; it must agree with the
+    # rule on the full graded profile, on members and non-members alike
+    rng = random.Random(2401)
+    pool = [(a, w) for a in algebras.values() for w in enumerate_strings(a, 3)]
+    sample = rng.sample(pool, 60)
+    members, seen = 0, set()
+    for a, w in sample:
+        X = unfold_string(a, w, 0)
+        prof = graded_profile(X, X).nonzero()
+        members += exceptional._member_profile_of(a, X) is not None
+        for entries in ([(w, 0)], [(w, 0), (w, 0)]):
+            cert = verify_cycle(a, entries)
+            assert cert.e1 == _e1_rule(prof, len(entries)), (w, prof, len(entries))
+            assert cert.e1 or f"graded endomorphisms {prof}" in cert.note
+            seen.add((len(entries), cert.e1))
+    assert 0 < members < len(sample)
+    assert seen == {(1, True), (1, False), (2, True), (2, False)}
