@@ -10,14 +10,23 @@ cross-checked against the rank computed by the linear-algebra engine.
 The end conditions are exactly the vanishing statements forced by the
 differentials: whenever a composite of a candidate component with a
 neighbouring letter stays nonzero and unmatched, the candidate is not a
-chain map.
+chain map.  Each position i has a high side, its letter towards i + 1,
+and a low side, its letter towards i - 1.  Reading a word backwards
+inverts every letter and sends position i to n - i, so the low side of a
+position is the high side of the mirrored position with the letters
+inverted.  Each end condition is therefore written once, for the high
+side, and read on the low side with the letter directions flipped.  The
+same mirror reads the target backwards to collect the double and graph
+maps whose middle letters point opposite ways: mirroring both words sends
+the basis of (w, y) to the basis of (w^-1, y^-1), with (i, j) going to
+(n_w - i, n_y - j).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import RepComplex, WordShape, _pair_space
+from .complexes import RepComplex, _pair_space
 from .hom import PathMap, chain_map_dim
 from .linalg import ONE
 from .presentation import GentleAlgebra, InternalCheckError, Path
@@ -38,27 +47,26 @@ class CombMap:
         return f"<{self.kind} {inside}>"
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Unfolded:
-    complex: RepComplex
-    shape: WordShape
+    positions: tuple[tuple[str, int, int], ...]   # (vertex, degree, slot within degree)
     letters: tuple[HomotopyLetter, ...]
 
-    @property
-    def n_pos(self) -> int:
-        return len(self.shape.positions)
-
     def vertex(self, i: int) -> str:
-        return self.shape.vertex(i)
+        return self.positions[i][0]
 
     def degree(self, i: int) -> int:
-        return self.shape.degree(i)
+        return self.positions[i][1]
 
-    def high_letter(self, i: int) -> HomotopyLetter | None:
-        return self.letters[i] if i < len(self.letters) else None
+    def letter(self, i: int, high: bool) -> HomotopyLetter | None:
+        """The letter on the high side of position i, or on its low side."""
+        k = i if high else i - 1
+        return self.letters[k] if 0 <= k < len(self.letters) else None
 
-    def low_letter(self, i: int) -> HomotopyLetter | None:
-        return self.letters[i - 1] if i >= 1 else None
+    def reversed(self) -> _Unfolded:
+        """The same word read backwards."""
+        return _Unfolded(self.positions[::-1],
+                         tuple(l.inverse() for l in reversed(self.letters)))
 
 
 def _unfolded(c: RepComplex) -> _Unfolded:
@@ -68,29 +76,34 @@ def _unfolded(c: RepComplex) -> _Unfolded:
         raise ValueError("combinatorial bases are implemented for string complexes only")
     w = c.shape.word
     letters = () if (isinstance(w, HomotopyString) and w.is_trivial) else w.letters
-    return _Unfolded(c, c.shape, letters)
+    return _Unfolded(c.shape.positions, letters)
 
 
-def _ok_left(a: GentleAlgebra, uv: _Unfolded, uw: _Unfolded, i: int, j: int,
-             f: Path) -> bool:
-    A = uv.high_letter(i)
-    if A is not None and A.direct and a.compose(A.path, f) is not None:
-        return False
-    B = uw.high_letter(j)
-    if B is not None and not B.direct and a.compose(f, B.path) is not None:
-        return False
-    return True
+def _after(p: Path, z: Path | None) -> Path | None:
+    """The nontrivial r with z = r∘p, if p starts z."""
+    n = len(p)
+    if z is None or len(z) <= n or z.arrows[:n] != p.arrows:
+        return None
+    return Path(p.target, z.arrows[n:], z.target)
 
 
-def _ok_right(a: GentleAlgebra, uv: _Unfolded, uw: _Unfolded, i: int, j: int,
-              f: Path) -> bool:
-    A = uv.low_letter(i)
-    if A is not None and not A.direct and a.compose(A.path, f) is not None:
+def _before(p: Path, z: Path) -> Path | None:
+    """The nontrivial r with z = p∘r, if p ends z."""
+    n = len(p)
+    if len(z) <= n or z.arrows[len(z) - n:] != p.arrows:
+        return None
+    return Path(z.source, z.arrows[:len(z) - n], p.source)
+
+
+def _ok(a: GentleAlgebra, A: HomotopyLetter | None, B: HomotopyLetter | None,
+        f: Path, high: bool) -> bool:
+    """Whether a component f, from a source position with letter A on one
+    side to a target position with letter B on the same side, meets the
+    differentials there: A∘f must vanish where A points into the source
+    position, and f∘B where B points out of the target position."""
+    if A is not None and A.direct == high and a.compose(A.path, f) is not None:
         return False
-    B = uw.low_letter(j)
-    if B is not None and B.direct and a.compose(f, B.path) is not None:
-        return False
-    return True
+    return not (B is not None and B.direct != high and a.compose(f, B.path) is not None)
 
 
 def single_maps(v: RepComplex, w: RepComplex) -> list[CombMap]:
@@ -98,162 +111,107 @@ def single_maps(v: RepComplex, w: RepComplex) -> list[CombMap]:
     a = v.a
     uv, uw = _unfolded(v), _unfolded(w)
     out = []
-    for i in range(uv.n_pos):
-        for j in range(uw.n_pos):
+    for i in range(len(uv.positions)):
+        A_high, A_low = uv.letter(i, True), uv.letter(i, False)
+        for j in range(len(uw.positions)):
             if uv.degree(i) != uw.degree(j):
                 continue
+            B_high, B_low = uw.letter(j, True), uw.letter(j, False)
             for f in _pair_space(a, uv.vertex(i), uw.vertex(j)):
-                if (not f.is_trivial and _ok_left(a, uv, uw, i, j, f)
-                        and _ok_right(a, uv, uw, i, j, f)):
+                if (not f.is_trivial and _ok(a, A_high, B_high, f, True)
+                        and _ok(a, A_low, B_low, f, False)):
                     out.append(CombMap(SINGLE, ((i, j, f),)))
     return out
-
-
-def _reversed_unfolded(u: _Unfolded) -> _Unfolded:
-    """The same complex with its word read backwards."""
-    shape = WordShape(u.shape.word, u.shape.base,
-                      tuple(reversed(u.shape.positions)), False, None)
-    return _Unfolded(u.complex, shape, tuple(l.inverse() for l in reversed(u.letters)))
 
 
 def _aligned_doubles(a: GentleAlgebra, uv: _Unfolded, uw: _Unfolded):
     """Coupled two-component maps in the given reading of the target.
 
-    The coupling equation lives over a pair of same-direction middle
-    letters; components connecting across mixed-direction middles appear
-    as aligned couplings of the reversed reading and are collected by the
-    caller from both orientations.
+    The coupling equation A∘f = g∘B lives over a pair of same-direction
+    middle letters A from position i to i + 1 of the source and B from j
+    to j + 1 of the target; f sits where A starts (i for a direct letter,
+    i + 1 for an inverse one) and g at the other end.  Components
+    connecting across mixed-direction middles appear as aligned couplings
+    of the reversed reading and are collected by the caller from both
+    orientations.
     """
     out = []
-    for i in range(uv.n_pos - 1):
-        A = uv.high_letter(i)
-        for j in range(uw.n_pos - 1):
-            if uv.degree(i) != uw.degree(j):
+    for i in range(len(uv.positions) - 1):
+        A = uv.letter(i, True)
+        for j in range(len(uw.positions) - 1):
+            B = uw.letter(j, True)
+            if uv.degree(i) != uw.degree(j) or A.direct != B.direct:
                 continue
-            B = uw.high_letter(j)
-            if A is None or B is None or A.direct != B.direct:
-                continue
-            if A.direct:
-                # equation: A∘f_R == f_L∘B with B applied first
-                for f_r in _pair_space(a, uv.vertex(i), uw.vertex(j)):
-                    z = a.compose(A.path, f_r)
-                    if z is None or f_r.is_trivial:
-                        continue
-                    nb = len(B.path.arrows)
-                    if len(z.arrows) <= nb or z.arrows[:nb] != B.path.arrows:
-                        continue
-                    f_l = Path(B.path.target, z.arrows[nb:], z.target)
-                    if not _ok_left(a, uv, uw, i + 1, j + 1, f_l):
-                        continue
-                    if not _ok_right(a, uv, uw, i, j, f_r):
-                        continue
-                    out.append(((i + 1, j + 1, f_l), (i, j, f_r)))
-            else:
-                # inverse middles: f_L then A.path == B.path then f_R
-                for f_l in _pair_space(a, uv.vertex(i + 1), uw.vertex(j + 1)):
-                    z = a.compose(A.path, f_l)
-                    if z is None or f_l.is_trivial:
-                        continue
-                    nb = len(B.path.arrows)
-                    if len(z.arrows) <= nb or z.arrows[:nb] != B.path.arrows:
-                        continue
-                    f_r = Path(B.path.target, z.arrows[nb:], z.target)
-                    if not _ok_left(a, uv, uw, i + 1, j + 1, f_l):
-                        continue
-                    if not _ok_right(a, uv, uw, i, j, f_r):
-                        continue
-                    out.append(((i + 1, j + 1, f_l), (i, j, f_r)))
+            k = 0 if A.direct else 1
+            for f in _pair_space(a, uv.vertex(i + k), uw.vertex(j + k)):
+                g = _after(B.path, a.compose(A.path, f))
+                if f.is_trivial or g is None:
+                    continue
+                f_low, f_high = (f, g) if A.direct else (g, f)
+                if (_ok(a, uv.letter(i + 1, True), uw.letter(j + 1, True), f_high, True)
+                        and _ok(a, uv.letter(i, False), uw.letter(j, False), f_low, False)):
+                    out.append(((i, j, f_low), (i + 1, j + 1, f_high)))
     return out
 
 
-def double_maps(v: RepComplex, w: RepComplex) -> list[CombMap]:
-    """Two-component coupled maps, in both readings of the target."""
-    a = v.a
-    uv, uw = _unfolded(v), _unfolded(w)
-    found: dict[tuple, CombMap] = {}
-    for comps in _aligned_doubles(a, uv, uw):
-        key = tuple(sorted(comps))
-        found.setdefault(key, CombMap(DOUBLE, key))
-    n_w = len(uw.letters)
-    for comps in _aligned_doubles(a, uv, _reversed_unfolded(uw)):
-        key = tuple(sorted((i, n_w - j, p) for i, j, p in comps))
-        found.setdefault(key, CombMap(DOUBLE, key))
-    return [found[k] for k in sorted(found)]
-
-
-def _letters_equal(x: HomotopyLetter | None, y: HomotopyLetter | None) -> bool:
-    return x is not None and y is not None and x == y
+def _flank(A: HomotopyLetter | None, B: HomotopyLetter | None,
+           high: bool) -> tuple[Path, ...] | None:
+    """The end component of an overlap window past its last common letters
+    on one side, where the source has letter A and the target letter B:
+    () when the window needs none, None when no chain map ends there."""
+    if A is not None and B is not None and A.direct == B.direct:
+        g = _after(B.path, A.path) if A.direct == high else _before(A.path, B.path)
+        return None if g is None else (g,)
+    if (A is not None and A.direct == high) or (B is not None and B.direct != high):
+        return None
+    return ()
 
 
 def _graph_windows(a: GentleAlgebra, uv: _Unfolded, uw: _Unfolded
                    ) -> list[tuple[tuple[int, int, Path], ...]]:
     out = []
-    for i in range(uv.n_pos):
-        for j in range(uw.n_pos):
+    for i in range(len(uv.positions)):
+        for j in range(len(uw.positions)):
             if uv.vertex(i) != uw.vertex(j) or uv.degree(i) != uw.degree(j):
                 continue
             # maximality on the low side: the window must start here
-            if _letters_equal(uv.low_letter(i), uw.low_letter(j)):
+            low = uv.letter(i, False)
+            if low is not None and low == uw.letter(j, False):
                 continue
             p = 0
-            while _letters_equal(uv.high_letter(i + p), uw.high_letter(j + p)):
+            while (A := uv.letter(i + p, True)) is not None and A == uw.letter(j + p, True):
                 p += 1
-            components = [(i + t, j + t, a.trivial_path(uv.vertex(i + t)))
-                          for t in range(p + 1)]
-            # left flank, high side
-            A, B = uv.high_letter(i + p), uw.high_letter(j + p)
-            if A is not None and B is not None and A.direct == B.direct:
-                if A.direct:
-                    nb = len(B.path.arrows)
-                    if len(A.path.arrows) <= nb or B.path.arrows != A.path.arrows[:nb]:
-                        continue
-                    f_l = Path(B.path.target, A.path.arrows[nb:], A.path.target)
-                else:
-                    na = len(A.path.arrows)
-                    if len(B.path.arrows) <= na or B.path.arrows[-na:] != A.path.arrows:
-                        continue
-                    f_l = Path(B.path.source, B.path.arrows[:-na], A.path.source)
-                components.append((i + p + 1, j + p + 1, f_l))
-            else:
-                if A is not None and A.direct:
-                    continue
-                if B is not None and not B.direct:
-                    continue
-            # right flank, low side
-            A2, B2 = uv.low_letter(i), uw.low_letter(j)
-            if A2 is not None and B2 is not None and A2.direct == B2.direct:
-                if A2.direct:
-                    na = len(A2.path.arrows)
-                    if len(B2.path.arrows) <= na or B2.path.arrows[-na:] != A2.path.arrows:
-                        continue
-                    f_r = Path(B2.path.source, B2.path.arrows[:-na], A2.path.source)
-                else:
-                    nb = len(B2.path.arrows)
-                    if len(A2.path.arrows) <= nb or A2.path.arrows[:nb] != B2.path.arrows:
-                        continue
-                    f_r = Path(B2.path.target, A2.path.arrows[nb:], A2.path.target)
-                components.append((i - 1, j - 1, f_r))
-            else:
-                if A2 is not None and not A2.direct:
-                    continue
-                if B2 is not None and B2.direct:
-                    continue
-            out.append(tuple(sorted(components)))
+            high_end = _flank(uv.letter(i + p, True), uw.letter(j + p, True), True)
+            low_end = _flank(low, uw.letter(j, False), False)
+            if high_end is None or low_end is None:
+                continue
+            out.append(tuple([(i - 1, j - 1, f) for f in low_end]
+                             + [(i + t, j + t, a.trivial_path(uv.vertex(i + t)))
+                                for t in range(p + 1)]
+                             + [(i + p + 1, j + p + 1, f) for f in high_end]))
     return out
+
+
+def _both_readings(v: RepComplex, w: RepComplex, kind: str, collect) -> list[CombMap]:
+    """The maps ``collect`` finds with the target read forwards and read
+    backwards, the latter translated back by j -> n_w - j; repeats are
+    dropped and the maps sorted by their components."""
+    uv, uw = _unfolded(v), _unfolded(w)
+    n_w = len(uw.letters)
+    found = {tuple(sorted(comps)) for comps in collect(v.a, uv, uw)}
+    found |= {tuple(sorted((i, n_w - j, p) for i, j, p in comps))
+              for comps in collect(v.a, uv, uw.reversed())}
+    return [CombMap(kind, comps) for comps in sorted(found)]
+
+
+def double_maps(v: RepComplex, w: RepComplex) -> list[CombMap]:
+    """Two-component coupled maps, in both readings of the target."""
+    return _both_readings(v, w, DOUBLE, _aligned_doubles)
 
 
 def graph_maps(v: RepComplex, w: RepComplex) -> list[CombMap]:
     """Maximal-overlap maps, in both readings of the target."""
-    a = v.a
-    uv, uw = _unfolded(v), _unfolded(w)
-    found: dict[tuple, CombMap] = {}
-    for comps in _graph_windows(a, uv, uw):
-        found.setdefault(comps, CombMap(GRAPH, comps))
-    n_w = len(uw.letters)
-    for comps in _graph_windows(a, uv, _reversed_unfolded(uw)):
-        translated = tuple(sorted((i, n_w - j, p) for i, j, p in comps))
-        found.setdefault(translated, CombMap(GRAPH, translated))
-    return [found[k] for k in sorted(found)]
+    return _both_readings(v, w, GRAPH, _graph_windows)
 
 
 def alp_basis(v: RepComplex, w: RepComplex) -> list[CombMap]:
@@ -271,5 +229,5 @@ def alp_basis(v: RepComplex, w: RepComplex) -> list[CombMap]:
 def comb_map_to_path_map(v: RepComplex, w: RepComplex, m: CombMap) -> PathMap:
     """The components of a combinatorial map on the presentations."""
     uv, uw = _unfolded(v), _unfolded(w)
-    return {(uv.degree(i), uv.shape.slot(i), uw.shape.slot(j)): ((p, ONE),)
+    return {(uv.degree(i), uv.positions[i][2], uw.positions[j][2]): ((p, ONE),)
             for i, j, p in m.components}

@@ -73,19 +73,8 @@ class WordShape:
     """Unfolded position data recorded when a word becomes a complex."""
 
     word: Word
-    base: int                                    # total suspension applied
     positions: tuple[tuple[str, int, int], ...]  # (vertex, degree, slot within degree)
     cyclic: bool
-    scalar: Fraction | None = None
-
-    def degree(self, i: int) -> int:
-        return self.positions[i][1]
-
-    def vertex(self, i: int) -> str:
-        return self.positions[i][0]
-
-    def slot(self, i: int) -> int:
-        return self.positions[i][2]
 
 
 class RepComplex:
@@ -203,7 +192,7 @@ def _unfold(a: GentleAlgebra, w: Word, m: int, mu: Fraction | None) -> RepComple
 
     proj_diffs = {d: tuple(tuple(row) for row in rows) for d, rows in entries.items()}
     positions = tuple((verts[i], degs[i], slot[i]) for i in range(n_pos))
-    shape = WordShape(w, 0, positions, cyclic, Fraction(mu) if mu is not None else None)
+    shape = WordShape(w, positions, cyclic)
     base = _assemble_projective_complex(a, proj_terms, proj_diffs, shape=shape)
     return shift(base, -m) if m else base
 
@@ -242,9 +231,9 @@ def shift(c: RepComplex, t: int) -> RepComplex:
     proj_terms, proj_diffs = shift_presentation(c.proj_terms, c.proj_diffs, t)
     shape = None
     if c.shape is not None:
-        shape = WordShape(c.shape.word, c.shape.base + t,
+        shape = WordShape(c.shape.word,
                           tuple((v, d - t, s) for v, d, s in c.shape.positions),
-                          c.shape.cyclic, c.shape.scalar)
+                          c.shape.cyclic)
     return RepComplex(c.a, proj_terms, proj_diffs, shape)
 
 

@@ -552,6 +552,12 @@ def brute_force_search(a: GentleAlgebra, max_letters: int | None = None,
             s = identify_shift(a, image, complexes[j])
             if s is not None:
                 if abs(s) <= shift_window:
+                    # S is an autoequivalence: the image keeps the member's
+                    # graded self-Hom profile, so it passes the screen too
+                    if j not in members:
+                        raise InternalCheckError(
+                            f"the Serre image of member {words[i]!r} is "
+                            f"{words[j]!r}[{s}], which fails the member screen")
                     successor[i] = (j, s)
                 break
 
@@ -568,8 +574,6 @@ def brute_force_search(a: GentleAlgebra, max_letters: int | None = None,
             j, s = successor[i]
             if j == start:
                 closed = True
-                break
-            if j not in members:
                 break
             i, sigma = j, sigma + s - 1
         if not closed:

@@ -53,9 +53,12 @@ class Arrow:
         return f"{self.name}:{self.source}->{self.target}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Path:
-    """A path of the quiver, in application order; arrows may be empty."""
+    """A path of the quiver, in application order; arrows may be empty.
+
+    Paths order by (source, arrows, target), which sorts maps whose
+    components agree in their positions."""
 
     source: str
     arrows: tuple[str, ...]

@@ -35,6 +35,14 @@ HOM_PAIRS = {
     "pent": (("c, b", "a@1"), ("d", "e, d@1")),
 }
 
+# further (from, to) pairs for ``alp --json``, beyond ``HOM_PAIRS``: double
+# maps over direct and over inverse middle letters, and graph maps with an
+# end component on the high and on the low flank
+ALP_PAIRS = {
+    "pent": (("a, d^-1", "c^-1, f"), ("d, a^-1", "f^-1, c"),
+             ("a^-1", "b, a*f"), ("a", "a*f^-1, b^-1")),
+}
+
 
 def invocations() -> list[list[str]]:
     """Each invocation as CLI arguments, with fixture paths relative to the
@@ -46,6 +54,8 @@ def invocations() -> list[list[str]]:
             out.append([cmd, path, "--json"])
         for src, dst in HOM_PAIRS[name]:
             out.append(["hom", path, "--from", src, "--to", dst, "--json", "--profile"])
+        for src, dst in HOM_PAIRS[name] + ALP_PAIRS.get(name, ()):
+            out.append(["alp", path, "--from", src, "--to", dst, "--json"])
     return out
 
 

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import rep_oracle
 from gentle import (HomPair, alp_basis, chain_map_dim, comb_map_to_path_map,
-                    double_maps, enumerate_threads, graph_maps, parse_word,
-                    single_maps, shift, thread_string, trivial_string,
-                    unfold_string)
+                    double_maps, enumerate_threads, graph_maps, load_algebra,
+                    parse_word, single_maps, shift, thread_string,
+                    trivial_string, unfold_string)
 from gentle.exceptional import mouth_objects, serre_of_mouth
 from gentle.randomgen import random_gentle
 
@@ -184,3 +186,37 @@ def test_alp_rejects_band_complexes(algebras):
     X = unfold_string(a, trivial_string(a, "1"), 0)
     with pytest.raises(ValueError):
         single_maps(E, X)
+
+
+def test_maps_tied_on_positions_sort_by_path():
+    # with a loop c at 2 and c*c = 0, two double maps from "a^-1, b^-1" to
+    # "a^-1, c, c*a" share the positions 0 -> 2 and differ in the path there
+    a = load_algebra("vertex 1 2 3\narrow a : 1 -> 2\narrow b : 2 -> 3\n"
+                     "arrow c : 2 -> 2\nrelation b a\nrelation c c\n")
+    X = unfold_string(a, parse_word(a, "a^-1, b^-1"), 0)
+    Y = unfold_string(a, parse_word(a, "a^-1, c, c*a"), 0)
+    doubles = double_maps(X, Y)
+    assert [m.components[0][:2] for m in doubles] == [(0, 2), (0, 2)]
+    assert doubles == sorted(doubles, key=lambda m: m.components)
+    assert len(alp_basis(X, Y)) == chain_map_dim(X, Y) == 3
+
+
+def test_basis_mirrors_under_reading_both_words_backwards(algebras, random_corpus_small):
+    # inverting both words sends position i to n - i on each side, so the
+    # basis of (w^-1, y^-1) is the basis of (w, y) with (i, j) -> (n_w - i, n_y - j)
+    from gentle.exceptional import enumerate_strings
+    rng = random.Random(2602)
+    pool = [(a, enumerate_strings(a, 3)) for a in list(algebras.values()) + random_corpus_small]
+    doubles = graphs = 0
+    for _ in range(200):
+        a, words = rng.choice(pool)
+        w, y = rng.choice(words), rng.choice(words)
+        n_w, n_y = len(w.letters), len(y.letters)
+        basis = alp_basis(unfold_string(a, w, 0), unfold_string(a, y, 0))
+        mirror = alp_basis(unfold_string(a, w.inverse(), 0), unfold_string(a, y.inverse(), 0))
+        assert ({(m.kind, tuple(sorted((n_w - i, n_y - j, p) for i, j, p in m.components)))
+                 for m in basis}
+                == {(m.kind, tuple(sorted(m.components))) for m in mirror}), (a, w, y)
+        doubles += sum(m.kind == "double" for m in basis)
+        graphs += sum(m.kind == "graph" and len(m.components) > 1 for m in basis)
+    assert doubles > 0 and graphs > 0

@@ -194,3 +194,18 @@ def test_dot_output():
     code, out, _ = run_cli("ag", fx("pent"), "--dot")
     assert code == 0
     assert out.startswith("digraph") and out.rstrip().endswith("}")
+
+
+def test_alp_command_sorts_maps_tied_on_positions(tmp_path):
+    # two double maps share their positions and differ only in a path;
+    # they sort by the path instead of raising
+    src = tmp_path / "loop.gentle"
+    src.write_text("vertex 1 2 3\narrow a : 1 -> 2\narrow b : 2 -> 3\n"
+                   "arrow c : 2 -> 2\nrelation b a\nrelation c c\n")
+    code, out, err = run_cli("alp", str(src), "--from", "a^-1, b^-1",
+                             "--to", "a^-1, c, c*a", "--json")
+    assert code == 0, err
+    code, hom, err = run_cli("hom", str(src), "--from", "a^-1, b^-1",
+                             "--to", "a^-1, c, c*a", "--json")
+    assert code == 0, err
+    assert json.loads(out)["count"] == json.loads(hom)["chain_dim"] == 3

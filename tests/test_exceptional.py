@@ -7,8 +7,8 @@ import random
 import pytest
 
 from conftest import fixture_text
-from gentle import (ExceptionalCycle, ag_invariants, brute_force_search,
-                    check_band_spherical, classify_exceptional_cycles,
+from gentle import (ExceptionalCycle, InternalCheckError, ag_invariants,
+                    brute_force_search, check_band_spherical, classify_exceptional_cycles,
                     cycle_equiv, exceptional, graded_profile, load_algebra,
                     mouth_objects, parse_word, serre_of_mouth, thread_string,
                     trivial_string, unfold_string, verify_cycle, word_key)
@@ -421,3 +421,17 @@ def test_e1_is_read_off_the_member_screen(algebras):
             seen.add((len(entries), cert.e1))
     assert 0 < members < len(sample)
     assert seen == {(1, True), (1, False), (2, True), (2, False)}
+
+
+def test_non_member_serre_successor_is_an_error(algebras, monkeypatch):
+    # S is an autoequivalence, so a member's Serre image passes the member
+    # screen; a screen that rejects one link of a2's 3-cycle must raise
+    # instead of ending the chain silently
+    screen = exceptional._member_profile_of
+
+    def rejecting(a, X):
+        return None if X.shape.word.render() == "triv:1:+1" else screen(a, X)
+
+    monkeypatch.setattr(exceptional, "_member_profile_of", rejecting)
+    with pytest.raises(InternalCheckError, match="fails the member screen"):
+        brute_force_search(algebras["a2"])

@@ -25,5 +25,5 @@ def test_cli_output_matches_golden():
     with open(regen.GOLDEN, encoding="utf-8", newline="") as fh:
         want = fh.read()
     got = regen.render()
-    assert got.count("$ gentle ") == len(regen.invocations()) == 30
+    assert got.count("$ gentle ") == len(regen.invocations()) == 46
     assert got == want
